@@ -19,9 +19,12 @@ the alternation relations F(x) = -F(1/x) = -F(1-x) extend a bound near 1 to
 neighborhoods of 0 and infinity and hence, with a compact-set supremum, to
 a global bound.
 
-Suprema are measured on grids and labeled `empirical`; callers may supply
-`analytic` values instead.  Target grids include a dyadic tail toward their
-open endpoint so divergent inputs are refused rather than certified.
+`certify_interval` and `certify_complex_region` only build their region
+(grids, target-membership test, squaring cap); one core, `_certify`, runs
+the recursion on either.  Suprema are measured on grids and labeled
+`empirical`; callers may supply `analytic` values instead.  Target grids
+include a dyadic tail toward their open endpoint so divergent inputs are
+refused, naming the offending point, rather than certified.
 """
 
 from __future__ import annotations
@@ -144,35 +147,51 @@ def _real_target_grid(delta: float, cfg: GridConfig) -> np.ndarray:
     return np.unique(np.concatenate([uniform, dyadic]))
 
 
-def _closed_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    return np.linspace(lo, hi, n)
-
-
 def _sup_abs(F: ScalarFunction, values) -> float:
     return max(abs(F(v)) for v in values)
 
 
-def _k_real(x: float, delta: float, cap: int) -> int:
-    k = 0
-    while x > 1.0 - delta:
-        x = x * x
-        k += 1
-        if k > cap:
-            raise IterationOverflow(f"squaring iteration exceeded cap {cap}")
-    return k
+def _certify(F: ScalarFunction, target, base, near2, in_target, cap: int,
+             region: RegionSpec, blowup_threshold: float,
+             overrides: Optional[dict]) -> BoundCertificate:
+    """Run the doubling recursion on one region and assemble its certificate.
 
-
-def _resolve_inputs(empirical: dict, overrides: Optional[dict]):
-    overrides = overrides or {}
-    unknown = set(overrides) - set(empirical)
+    `target` yields the target grid as Python scalars; squaring each point
+    until `in_target` fails gives k_max (at most `cap` squarings).  B_defect
+    is the defect supremum over the same points, M_base and M_near2 the
+    suprema of |F| over the `base` and `near2` grids.  Each of the three is
+    replaced by its `overrides` value, if given, and labeled `analytic`.
+    """
+    overrides = {key: float(value) for key, value in (overrides or {}).items()}
+    unknown = set(overrides) - {"B_defect", "M_base", "M_near2"}
     if unknown:
         raise ValueError(f"unknown override keys: {sorted(unknown)}")
-    inputs = dict(empirical)
-    provenance = {key: "empirical" for key in empirical}
-    for key, value in overrides.items():
-        inputs[key] = float(value)
-        provenance[key] = "analytic"
-    return inputs, provenance
+    k_max = 0
+    worst = 0.0
+    for x in target:
+        k, w = 0, x
+        while in_target(w):
+            w = w * w
+            k += 1
+            if k > cap:
+                raise IterationOverflow(f"squaring iteration exceeded cap {cap}")
+        k_max = max(k_max, k)
+        if "B_defect" not in overrides:
+            d = abs(doubling_defect(F, x))
+            if d > blowup_threshold:
+                raise UnboundedDefect(
+                    f"doubling defect {d:.3e} at point {x!r} exceeds threshold "
+                    f"{blowup_threshold:.1e}")
+            worst = max(worst, d)
+    inputs = {"B_defect": worst}
+    for key, points in (("M_base", base), ("M_near2", near2)):
+        inputs[key] = overrides[key] if key in overrides else _sup_abs(F, points)
+    inputs.update(overrides)
+    provenance = {key: "analytic" if key in overrides else "empirical"
+                  for key in inputs}
+    bound = inputs["M_base"] + 2.0 * (inputs["B_defect"] + 2.0 * inputs["M_near2"])
+    return BoundCertificate(region=region, certified_bound=bound,
+                            inputs=inputs, k_max=k_max, provenance=provenance)
 
 
 def certify_interval(F: ScalarFunction, delta: float = 0.125,
@@ -191,42 +210,20 @@ def certify_interval(F: ScalarFunction, delta: float = 0.125,
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     cfg = grid or GridConfig()
-    overrides = overrides or {}
-    target = _real_target_grid(delta, cfg)
-    cap = cfg.dyadic_depth + 16 + max(0, math.ceil(math.log2(1.0 / delta)))
-    k_max = max(_k_real(float(x), delta, cap) for x in target)
-
-    empirical = {}
-    if "B_defect" in overrides:
-        empirical["B_defect"] = float(overrides["B_defect"])
-    else:
-        worst = 0.0
-        for x in target:
-            d = abs(doubling_defect(F, float(x)))
-            if d > blowup_threshold:
-                raise UnboundedDefect(
-                    f"doubling defect {d:.3e} at x = {x!r} exceeds threshold "
-                    f"{blowup_threshold:.1e}")
-            worst = max(worst, d)
-        empirical["B_defect"] = worst
+    n = cfg.points_per_region
+    edge = 1.0 - delta
     base_lo = (1.0 - delta) ** 2
-    empirical["M_base"] = (float(overrides["M_base"]) if "M_base" in overrides
-                           else _sup_abs(F, _closed_grid(base_lo, 1.0 - delta,
-                                                         cfg.points_per_region)))
     near2_hi = max(2.0 + delta, 2.0 / (1.0 - delta))
-    empirical["M_near2"] = (float(overrides["M_near2"]) if "M_near2" in overrides
-                            else _sup_abs(F, _closed_grid(2.0 - delta, near2_hi,
-                                                          cfg.points_per_region)))
-
-    inputs, provenance = _resolve_inputs(empirical, overrides)
-    c_value = inputs["B_defect"] + 2.0 * inputs["M_near2"]
-    bound = inputs["M_base"] + 2.0 * c_value
+    cap = cfg.dyadic_depth + 16 + max(0, math.ceil(math.log2(1.0 / delta)))
     region = RegionSpec(kind="real_interval", delta=delta,
                         target=f"[{1 - delta}, 1)",
                         base=f"[{base_lo}, {1 - delta}]",
                         near2=f"[{2 - delta}, {near2_hi}]")
-    return BoundCertificate(region=region, certified_bound=bound,
-                            inputs=inputs, k_max=k_max, provenance=provenance)
+    # plain floats for a refusal's repr; map() avoids a list of the whole grid
+    return _certify(F, map(float, _real_target_grid(delta, cfg)),
+                    np.linspace(base_lo, edge, n),
+                    np.linspace(2.0 - delta, near2_hi, n),
+                    lambda x: x > edge, cap, region, blowup_threshold, overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -303,50 +300,17 @@ def certify_complex_region(F: ScalarFunction, delta: float = 0.1,
     if F.field_tag != "complex":
         raise ValueError("complex certification needs a complex-field function")
     cfg = grid or GridConfig()
-    overrides = overrides or {}
-    sector = _sector_grid(delta, cfg)
-
     arg_min = delta * 0.5 ** cfg.dyadic_depth
     cap = (math.ceil(math.log2(2.0 * delta / arg_min)) + cfg.dyadic_depth
            + 16 + max(0, math.ceil(math.log2(1.0 / delta))))
-    k_max = 0
-    for z in sector:
-        k = 0
-        w = z
-        while _in_sector(w, delta):
-            w = w * w
-            k += 1
-            if k > cap:
-                raise IterationOverflow(f"squaring iteration exceeded cap {cap}")
-        k_max = max(k_max, k)
-
-    empirical = {}
-    if "B_defect" in overrides:
-        empirical["B_defect"] = float(overrides["B_defect"])
-    else:
-        worst = 0.0
-        for z in sector:
-            d = abs(doubling_defect(F, z))
-            if d > blowup_threshold:
-                raise UnboundedDefect(
-                    f"doubling defect {d:.3e} at z = {z!r} exceeds threshold "
-                    f"{blowup_threshold:.1e}")
-            worst = max(worst, d)
-        empirical["B_defect"] = worst
-    empirical["M_base"] = (float(overrides["M_base"]) if "M_base" in overrides
-                           else _sup_abs(F, _base_sector_grids(delta, cfg)))
-    empirical["M_near2"] = (float(overrides["M_near2"]) if "M_near2" in overrides
-                            else _sup_abs(F, _near2_disk_grid(delta, cfg)))
-
-    inputs, provenance = _resolve_inputs(empirical, overrides)
-    c_value = inputs["B_defect"] + 2.0 * inputs["M_near2"]
-    bound = inputs["M_base"] + 2.0 * c_value
     region = RegionSpec(kind="complex_sector", delta=delta,
                         target=f"{{1-{delta} < |z| <= 1, |arg z| < {delta}}}",
                         base="closure of doubled sector minus target",
                         near2=f"disk(2, {_near2_radius(delta):.6g})")
-    return BoundCertificate(region=region, certified_bound=bound,
-                            inputs=inputs, k_max=k_max, provenance=provenance)
+    return _certify(F, _sector_grid(delta, cfg), _base_sector_grids(delta, cfg),
+                    _near2_disk_grid(delta, cfg),
+                    lambda z: _in_sector(z, delta), cap, region,
+                    blowup_threshold, overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +336,9 @@ def extend_by_symmetry(cert_near_1: BoundCertificate, F: ScalarFunction,
     n = cfg.points_per_region
 
     if F.field_tag == "real":
-        pieces = [_closed_grid(-1.0 / delta, -delta, n),
-                  _closed_grid(delta, 1.0 - delta, n),
-                  _closed_grid(1.0 / (1.0 - delta), 1.0 / delta, n)]
+        pieces = [np.linspace(-1.0 / delta, -delta, n),
+                  np.linspace(delta, 1.0 - delta, n),
+                  np.linspace(1.0 / (1.0 - delta), 1.0 / delta, n)]
         compact_sup = max(_sup_abs(F, piece) for piece in pieces)
         kind, target = "real_global", "R minus {0, 1}"
     else:

@@ -26,18 +26,16 @@ from .certifier import (GridConfig, alternating_bump_function, certify_complex_r
                         certify_interval, const_function, pole_function, vol3_slice)
 from .cochains import Cochain, empirical_sup_defect
 from .errors import BoundaryKitError, UnboundedDefect, UnknownInvariant
-from .reports import (ReportEnvelope, SamplerConfig, compactness_probe,
-                      emit_report, histogram_summary, invariant_values,
-                      quantile_summary, sample_tuples, sampling_stats)
+from .reports import (INVARIANT_MODELS, ReportEnvelope, SamplerConfig,
+                      compactness_probe, emit_report, invariant_values,
+                      sample_with_stats, summarize_invariant)
 from .sampling import chart_tuple_sampler, circle_tuple_sampler
 from .version import __version__
 from .volume import vol2, vol3
 
 SEED_ENV_VAR = "BOUNDARYKIT_SEED"
 
-_DEFAULT_INVARIANTS = {"S1": "orientation_class",
-                       "complex_hyperbolic": "cartan",
-                       "flags3": "triple_ratio"}
+_DEFAULT_INVARIANTS = {model: name for name, model in INVARIANT_MODELS.items()}
 
 _FUNCTIONS = {
     "const": lambda field: const_function(1.0, field),
@@ -76,32 +74,27 @@ def _config_from_args(args, seed: int) -> SamplerConfig:
                          seed=seed, tolerance=args.tol, dim=dim)
 
 
-def _format_vector(v) -> str:
-    return ";".join(repr(float(x)) for x in v)
-
-
-def _format_complex_vector(v) -> str:
-    return ";".join(repr(complex(x)) for x in v)
+def _format_vector(v, scalar=float) -> str:
+    return ";".join(repr(scalar(x)) for x in v)
 
 
 def _cmd_sample(args) -> int:
     seed = _resolve_seed(args)
     config = _config_from_args(args, seed)
-    tuples = sample_tuples(config)
+    tuples, stats = sample_with_stats(config)
     rows = []
     for i, tup in enumerate(tuples):
         for j, point in enumerate(tup):
+            row = {"tuple_index": i, "point_index": j}
             if config.model == "flags3":
-                rows.append({"tuple_index": i, "point_index": j,
-                             "line": _format_vector(point.line),
-                             "plane": _format_vector(point.plane)})
+                row["line"] = _format_vector(point.line)
+                row["plane"] = _format_vector(point.plane)
             elif config.model == "complex_hyperbolic":
-                rows.append({"tuple_index": i, "point_index": j,
-                             "lift": _format_complex_vector(point.lift)})
+                row["lift"] = _format_vector(point.lift, complex)
             else:
-                rows.append({"tuple_index": i, "point_index": j,
-                             "coords": _format_vector(point.direction)})
-    summary = {"tuples": len(tuples), **sampling_stats(config)}
+                row["coords"] = _format_vector(point.direction)
+            rows.append(row)
+    summary = {"tuples": len(tuples), **stats}
     envelope = ReportEnvelope(command="sample", seed=seed, config=config.echo(),
                               results=rows, summary=summary)
     _write(envelope, args)
@@ -120,12 +113,7 @@ def _cmd_invariant(args) -> int:
     seed = _resolve_seed(args)
     config = _config_from_args(args, seed)
     name = _resolve_invariant(args, config)
-    values = invariant_values(config, name)
-    rows = [{"index": i, "value": float(v)} for i, v in enumerate(values)]
-    summary = {"invariant": name, "count": len(rows),
-               "min": float(values.min()), "max": float(values.max()),
-               "quantiles": quantile_summary(values),
-               "histogram": histogram_summary(values)}
+    rows, summary = summarize_invariant(name, invariant_values(config, name))
     envelope = ReportEnvelope(command="invariant", seed=seed,
                               config={**config.echo(), "invariant": name},
                               results=rows, summary=summary)
@@ -162,42 +150,37 @@ def _cmd_certify_bound(args) -> int:
     seed = _resolve_seed(args)
     F = _FUNCTIONS[args.function](args.field)
     grid = GridConfig(points_per_region=args.grid)
+    config = {"function": args.function, "field": args.field,
+              "delta": args.delta, "grid": args.grid, "tolerance": args.tol}
     try:
         if args.field == "complex":
             cert = certify_complex_region(F, delta=args.delta, grid=grid)
         else:
             cert = certify_interval(F, delta=args.delta, grid=grid)
     except UnboundedDefect as exc:
-        envelope = ReportEnvelope(
-            command="certify-bound", seed=seed,
-            config={"function": args.function, "field": args.field,
-                    "delta": args.delta, "grid": args.grid, "tolerance": args.tol},
-            results=[{"function": args.function, "refused": True,
-                      "reason": str(exc)}],
-            summary={"refused": True, "reason": str(exc)})
-        _write(envelope, args)
-        return 1
-    c_value = cert.inputs["B_defect"] + 2.0 * cert.inputs["M_near2"]
-    row = {"function": args.function, "field": args.field,
-           "kind": cert.region.kind, "delta": cert.region.delta,
-           "certified_bound": cert.certified_bound, "C": c_value,
-           "k_max": cert.k_max}
-    for key in sorted(cert.inputs):
-        row[key] = cert.inputs[key]
-    for key in sorted(cert.provenance):
-        row[f"provenance_{key}"] = cert.provenance[key]
-    summary = {"certificate": {"region": asdict(cert.region),
-                               "certified_bound": cert.certified_bound,
-                               "inputs": cert.inputs, "k_max": cert.k_max,
-                               "provenance": cert.provenance},
-               "refused": False}
-    envelope = ReportEnvelope(
-        command="certify-bound", seed=seed,
-        config={"function": args.function, "field": args.field,
-                "delta": args.delta, "grid": args.grid, "tolerance": args.tol},
-        results=[row], summary=summary)
+        results = [{"function": args.function, "refused": True,
+                    "reason": str(exc)}]
+        summary = {"refused": True, "reason": str(exc)}
+    else:
+        c_value = cert.inputs["B_defect"] + 2.0 * cert.inputs["M_near2"]
+        row = {"function": args.function, "field": args.field,
+               "kind": cert.region.kind, "delta": cert.region.delta,
+               "certified_bound": cert.certified_bound, "C": c_value,
+               "k_max": cert.k_max}
+        for key in sorted(cert.inputs):
+            row[key] = cert.inputs[key]
+        for key in sorted(cert.provenance):
+            row[f"provenance_{key}"] = cert.provenance[key]
+        results = [row]
+        summary = {"certificate": {"region": asdict(cert.region),
+                                   "certified_bound": cert.certified_bound,
+                                   "inputs": cert.inputs, "k_max": cert.k_max,
+                                   "provenance": cert.provenance},
+                   "refused": False}
+    envelope = ReportEnvelope(command="certify-bound", seed=seed, config=config,
+                              results=results, summary=summary)
     _write(envelope, args)
-    return 0
+    return 1 if summary["refused"] else 0
 
 
 def _cmd_probe(args) -> int:
@@ -238,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariant", help="evaluate an invariant over samples")
     common(p)
     p.add_argument("--invariant", default=None,
-                   choices=["orientation_class", "cartan", "triple_ratio"])
+                   choices=list(INVARIANT_MODELS))
     p.set_defaults(func=_cmd_invariant)
 
     p = sub.add_parser("verify-cocycle",
@@ -258,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="histogram an invariant and report compactness")
     common(p)
     p.add_argument("--invariant", default=None,
-                   choices=["orientation_class", "cartan", "triple_ratio"])
+                   choices=list(INVARIANT_MODELS))
     p.add_argument("--escape-hi", type=float, default=1e3)
     p.add_argument("--escape-lo", type=float, default=1e-3)
     p.set_defaults(func=_cmd_probe)

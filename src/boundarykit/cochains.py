@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ArityTooLarge, SamplerExhausted
+from .errors import ArityTooLarge
 from .hyperbolic import barycenter_ideal_triangle
 from .projective import EPS_DIST
 
@@ -214,24 +214,19 @@ def empirical_sup_defect(f: Cochain, sampler, n: int, seed: int = 0,
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    from .sampling import for_each_tuple  # sampling imports this module
+
     g = coboundary(f)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     sup_abs = -1.0
     witness = None
-    accepted = 0
-    draws = 0
-    budget = budget_factor * n
-    while accepted < n:
-        if draws >= budget:
-            raise SamplerExhausted(
-                f"{draws} draws produced only {accepted}/{n} generic tuples")
-        draws += 1
-        candidate = sampler(rng)
-        if candidate is None:
-            continue
-        accepted += 1
+
+    def visit(candidate):
+        nonlocal sup_abs, witness
         value = abs(g(*candidate))
         if value > sup_abs:
             sup_abs = value
             witness = tuple(candidate)
+
+    for_each_tuple(sampler, rng, n, visit, budget_factor)
     return DefectReport(sup_abs=sup_abs, samples=n, argmax_tuple=witness, seed=seed)

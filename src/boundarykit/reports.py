@@ -17,14 +17,16 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import flags as flags_mod
-from .errors import SamplerExhausted, UnknownInvariant
+from .errors import UnknownInvariant
 from .flags import Flag3
-from .hyperbolic import ComplexBoundaryPoint, RealBoundaryPoint
+from .hyperbolic import (ComplexBoundaryPoint, RealBoundaryPoint,
+                         cartan_invariant_batch)
+from .sampling import rejection_loop
 from .version import __version__
 
 ESCAPE_HI_DEFAULT = 1e3
@@ -142,22 +144,15 @@ def _mask_flags_generic(lines, planes, size, tol):
 
 
 def _accepted_batches(config: SamplerConfig, budget_factor: int = 100):
-    """Yield accepted candidate arrays until `count` tuples are collected.
+    """Draw candidate batches until `count` tuples are accepted.
 
     Returns (list_of_accepted_arrays, draws, accepted); raises
     SamplerExhausted past budget_factor * count draws.
     """
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    needed = config.count
-    budget = budget_factor * config.count
-    draws = 0
-    accepted = 0
     chunks = []
-    while accepted < needed:
-        m = min(needed - accepted, budget - draws)
-        if m <= 0:
-            raise SamplerExhausted(
-                f"{draws} draws produced only {accepted}/{needed} generic tuples")
+
+    def draw(m):
         if config.model in ("S1", "Sn"):
             dim = 2 if config.model == "S1" else config.dim
             batch = _batch_sphere(rng, m, config.tuple_size, dim)
@@ -172,9 +167,10 @@ def _accepted_batches(config: SamplerConfig, budget_factor: int = 100):
             mask = _mask_flags_generic(lines, planes, config.tuple_size,
                                        config.tolerance)
             chunks.append((lines[mask], planes[mask]))
-        draws += m
-        accepted += int(mask.sum())
-    return chunks, draws, accepted
+        return int(mask.sum())
+
+    draws = rejection_loop(draw, config.count, budget_factor)
+    return chunks, draws, config.count
 
 
 def _concat_chunks(config: SamplerConfig, chunks):
@@ -185,16 +181,19 @@ def _concat_chunks(config: SamplerConfig, chunks):
     return np.concatenate(chunks)[:config.count]
 
 
-def sampling_stats(config: SamplerConfig) -> dict:
-    """Acceptance statistics of the rejection sampler, without materializing."""
-    _, draws, accepted = _accepted_batches(config)
+def _acceptance(draws: int, accepted: int) -> dict:
     return {"draws": int(draws), "accepted": int(accepted),
             "acceptance_rate": float(accepted) / float(draws)}
 
 
-def sample_tuples(config: SamplerConfig):
-    """Exactly `count` generic tuples of point objects, deterministic per seed."""
-    chunks, _, _ = _accepted_batches(config)
+def sampling_stats(config: SamplerConfig) -> dict:
+    """Acceptance statistics of the rejection sampler, without materializing."""
+    return _acceptance(*_accepted_batches(config)[1:])
+
+
+def sample_with_stats(config: SamplerConfig):
+    """(sample_tuples(config), sampling_stats(config)) from one sampler run."""
+    chunks, draws, accepted = _accepted_batches(config)
     data = _concat_chunks(config, chunks)
     out = []
     if config.model == "flags3":
@@ -208,7 +207,12 @@ def sample_tuples(config: SamplerConfig):
     else:
         for row in data:
             out.append(tuple(RealBoundaryPoint(d) for d in row))
-    return out
+    return out, _acceptance(draws, accepted)
+
+
+def sample_tuples(config: SamplerConfig):
+    """Exactly `count` generic tuples of point objects, deterministic per seed."""
+    return sample_with_stats(config)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -222,32 +226,25 @@ def _orientation_values(batch) -> np.ndarray:
     return np.sign(cross)
 
 
+INVARIANT_MODELS = {"orientation_class": "S1", "cartan": "complex_hyperbolic",
+                     "triple_ratio": "flags3"}
+
+
 def invariant_values(config: SamplerConfig, invariant_name: str) -> np.ndarray:
     """Vectorized invariant evaluation over `count` generic sampled tuples."""
-    from .hyperbolic import cartan_invariant_batch
-
+    model = INVARIANT_MODELS.get(invariant_name)
+    if model is None:
+        raise UnknownInvariant(f"unknown invariant {invariant_name!r}")
+    if config.model != model:
+        raise UnknownInvariant(f"{invariant_name} is defined on {model} triples")
+    if config.tuple_size != 3:
+        raise ValueError(f"{invariant_name} needs triples")
+    data = _concat_chunks(config, _accepted_batches(config)[0])
     if invariant_name == "orientation_class":
-        if config.model != "S1":
-            raise UnknownInvariant("orientation_class is defined on S1 triples")
-        if config.tuple_size != 3:
-            raise ValueError("orientation_class needs triples")
-        data = _concat_chunks(config, _accepted_batches(config)[0])
         return _orientation_values(data)
     if invariant_name == "cartan":
-        if config.model != "complex_hyperbolic":
-            raise UnknownInvariant("cartan is defined on complex_hyperbolic triples")
-        if config.tuple_size != 3:
-            raise ValueError("cartan needs triples")
-        lifts = _concat_chunks(config, _accepted_batches(config)[0])
-        return cartan_invariant_batch(lifts[:, 0], lifts[:, 1], lifts[:, 2])
-    if invariant_name == "triple_ratio":
-        if config.model != "flags3":
-            raise UnknownInvariant("triple_ratio is defined on flags3 triples")
-        if config.tuple_size != 3:
-            raise ValueError("triple_ratio needs triples")
-        lines, planes = _concat_chunks(config, _accepted_batches(config)[0])
-        return flags_mod.batch_triple_ratio(lines, planes)
-    raise UnknownInvariant(f"unknown invariant {invariant_name!r}")
+        return cartan_invariant_batch(data[:, 0], data[:, 1], data[:, 2])
+    return flags_mod.batch_triple_ratio(*data)
 
 
 def quantile_summary(values: np.ndarray) -> dict:
@@ -262,6 +259,20 @@ def histogram_summary(values: np.ndarray, bins: int = 40) -> dict:
             "edges": [float(e) for e in edges]}
 
 
+def summarize_invariant(name: str, values: np.ndarray):
+    """Result rows and summary of an invariant's values, as (rows, summary)."""
+    rows = [{"index": i, "value": float(v)} for i, v in enumerate(values)]
+    summary = {
+        "invariant": name,
+        "count": int(values.shape[0]),
+        "min": float(values.min()),
+        "max": float(values.max()),
+        "quantiles": quantile_summary(values),
+        "histogram": histogram_summary(values),
+    }
+    return rows, summary
+
+
 def compactness_probe(model: str, invariant_name: str, config: SamplerConfig,
                       escape_hi: float = ESCAPE_HI_DEFAULT,
                       escape_lo: float = ESCAPE_LO_DEFAULT) -> ReportEnvelope:
@@ -273,20 +284,9 @@ def compactness_probe(model: str, invariant_name: str, config: SamplerConfig,
     ratio), signalling a non-compact configuration space.
     """
     if config.model != model:
-        config = SamplerConfig(model=model, tuple_size=config.tuple_size,
-                               count=config.count, seed=config.seed,
-                               tolerance=config.tolerance, dim=config.dim)
+        config = replace(config, model=model)
     values = invariant_values(config, invariant_name)
-
-    results = [{"index": i, "value": float(v)} for i, v in enumerate(values)]
-    summary = {
-        "invariant": invariant_name,
-        "count": int(values.shape[0]),
-        "min": float(values.min()),
-        "max": float(values.max()),
-        "quantiles": quantile_summary(values),
-        "histogram": histogram_summary(values),
-    }
+    results, summary = summarize_invariant(invariant_name, values)
 
     if invariant_name == "orientation_class":
         classes = sorted(set(float(v) for v in values))

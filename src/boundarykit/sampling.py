@@ -1,9 +1,12 @@
 """Seeded samplers for boundary tuples, model points and test cochains.
 
 A tuple sampler is a callable `sampler(rng) -> tuple | None`; None marks a
-rejected (non-generic) draw.  `draw_tuples` runs the rejection loop with the
-standard 100x budget.  Master seeds expand into independent substreams with
-`substream`, a counter-based split, so parallel tasks stay deterministic.
+rejected (non-generic) draw.  `rejection_loop`, with the standard 100x
+budget, is the one rejection loop: `for_each_tuple` and `draw_tuples` run
+tuple samplers through it, as do `cochains.empirical_sup_defect` and the
+batch samplers in `reports`.  Master seeds expand into independent
+substreams with `substream`, a counter-based split, so parallel tasks stay
+deterministic.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import numpy as np
 
 from .cochains import Cochain
 from .errors import SamplerExhausted
-from .flags import is_generic_triple, random_flag
 from .hyperbolic import (ComplexBoundaryPoint, HyperbolicPoint,
                          RealBoundaryPoint, boundary_to_chart,
                          is_generic_tuple, lorentz_product)
@@ -26,19 +28,45 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
 
 
+def rejection_loop(draw, n: int, budget_factor: int = 100) -> int:
+    """Call draw(m) until n candidates are accepted; return the draw count.
+
+    `draw(m)` draws m candidates and returns how many it accepted.  m is
+    at most the number still needed, so the loop stops at the n-th
+    acceptance, and at most the rest of the budget of budget_factor * n
+    draws; SamplerExhausted is raised once that budget is spent.
+    """
+    budget = budget_factor * n
+    draws = accepted = 0
+    while accepted < n:
+        m = min(n - accepted, budget - draws)
+        if m <= 0:
+            raise SamplerExhausted(
+                f"{draws} draws produced only {accepted}/{n} generic tuples")
+        accepted += draw(m)
+        draws += m
+    return draws
+
+
+def for_each_tuple(sampler, rng, n: int, visit, budget_factor: int = 100) -> int:
+    """Pass each of n accepted `sampler(rng)` tuples to `visit`; return draws."""
+
+    def draw(m):
+        hits = 0
+        for _ in range(m):
+            candidate = sampler(rng)
+            if candidate is not None:
+                visit(candidate)
+                hits += 1
+        return hits
+
+    return rejection_loop(draw, n, budget_factor)
+
+
 def draw_tuples(sampler, rng, n: int, budget_factor: int = 100) -> list:
     """Collect n accepted tuples; raise SamplerExhausted past the budget."""
     out = []
-    draws = 0
-    budget = budget_factor * n
-    while len(out) < n:
-        if draws >= budget:
-            raise SamplerExhausted(
-                f"{draws} draws produced only {len(out)}/{n} generic tuples")
-        draws += 1
-        candidate = sampler(rng)
-        if candidate is not None:
-            out.append(candidate)
+    for_each_tuple(sampler, rng, n, out.append, budget_factor)
     return out
 
 
@@ -65,14 +93,19 @@ def random_hyperbolic_point(rng, dim: int, spread: float = 1.0) -> HyperbolicPoi
     return HyperbolicPoint(np.append(v, math.sqrt(1.0 + v @ v)))
 
 
-def sphere_tuple_sampler(dim: int, size: int, tol: float = EPS_DIST):
-    """Tuples of pairwise-distinct points on the boundary sphere of H^dim."""
+def _generic_tuple_sampler(random_point, dim: int, size: int, tol: float):
+    """Tuples of `size` points `random_point(rng, dim)`; None unless generic."""
 
     def sample(rng):
-        points = tuple(random_boundary_point(rng, dim) for _ in range(size))
+        points = tuple(random_point(rng, dim) for _ in range(size))
         return points if is_generic_tuple(points, tol) else None
 
     return sample
+
+
+def sphere_tuple_sampler(dim: int, size: int, tol: float = EPS_DIST):
+    """Tuples of pairwise-distinct points on the boundary sphere of H^dim."""
+    return _generic_tuple_sampler(random_boundary_point, dim, size, tol)
 
 
 def circle_tuple_sampler(size: int, tol: float = EPS_DIST):
@@ -81,12 +114,7 @@ def circle_tuple_sampler(size: int, tol: float = EPS_DIST):
 
 def complex_tuple_sampler(n: int, size: int, tol: float = EPS_DIST):
     """Tuples of pairwise-distinct points of the boundary of H^n_C."""
-
-    def sample(rng):
-        points = tuple(random_complex_boundary_point(rng, n) for _ in range(size))
-        return points if is_generic_tuple(points, tol) else None
-
-    return sample
+    return _generic_tuple_sampler(random_complex_boundary_point, n, size, tol)
 
 
 def chart_tuple_sampler(size: int, tol: float = EPS_DIST):
@@ -98,16 +126,6 @@ def chart_tuple_sampler(size: int, tol: float = EPS_DIST):
         if points is None:
             return None
         return tuple(boundary_to_chart(p) for p in points)
-
-    return sample
-
-
-def flag_triple_sampler(tol: float = 1e-9):
-    """Generic flag triples by rejection over Haar-random frames."""
-
-    def sample(rng):
-        triple = tuple(random_flag(rng) for _ in range(3))
-        return triple if is_generic_triple(*triple, tol=tol) else None
 
     return sample
 

@@ -139,6 +139,27 @@ def test_certificate_monotonicity():
         assert cert_b.certified_bound >= cert.certified_bound
 
 
+@pytest.mark.parametrize("certify, F, delta", [
+    pytest.param(certify_interval, smooth_real(), 0.125, id="real"),
+    pytest.param(certify_complex_region, smooth_complex(), 0.1, id="complex"),
+])
+def test_overrides_on_both_regions(certify, F, delta):
+    def check(cert, analytic):
+        assert cert.provenance == {key: "analytic" if key in analytic
+                                   else "empirical" for key in cert.inputs}
+        assert cert.certified_bound == cert.inputs["M_base"] + 2.0 * (
+            cert.inputs["B_defect"] + 2.0 * cert.inputs["M_near2"])
+
+    full = {"M_base": 1.25, "B_defect": 0.5, "M_near2": 0.375}
+    cert = certify(F, delta=delta, grid=FAST_GRID, overrides=full)
+    assert cert.inputs == full
+    check(cert, full)
+    check(certify(F, delta=delta, grid=FAST_GRID, overrides={"M_near2": 3.0}),
+          {"M_near2"})
+    with pytest.raises(ValueError, match="unknown override keys"):
+        certify(F, delta=delta, grid=FAST_GRID, overrides={"M_nearby": 1.0})
+
+
 def test_pole_is_refused():
     with pytest.raises(UnboundedDefect):
         certify_interval(pole_function(), delta=0.125, grid=FAST_GRID)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from boundarykit import reports, sampling_stats
 from boundarykit.cli import main
 
 COMMON = ["--seed", "11"]
@@ -80,6 +81,44 @@ def test_certify_bound_pole_refused(tmp_path):
     assert code == 1
     data = json.loads(out.read_text())
     assert data["summary"]["refused"] is True
+
+
+@pytest.mark.parametrize("field, scalar", [("real", float), ("complex", complex)])
+def test_refusal_names_the_point_as_a_plain_repr(tmp_path, field, scalar):
+    code, out = run_to_file(tmp_path, "p.json",
+                            ["certify-bound", "--function", "pole",
+                             "--field", field, "--grid", "2000"] + COMMON)
+    assert code == 1
+    reason = json.loads(out.read_text())["summary"]["reason"]
+    assert "np.float64" not in reason
+    point = reason.split(" at point ")[1].split(" exceeds ")[0]
+    assert repr(scalar(point)) == point
+
+
+def test_sample_runs_the_sampler_once(tmp_path, monkeypatch):
+    runs = []
+    batches = reports._accepted_batches
+
+    def counted(config, *args):
+        runs.append(config)
+        return batches(config, *args)
+
+    monkeypatch.setattr(reports, "_accepted_batches", counted)
+    code, out = run_to_file(tmp_path, "s.json",
+                            ["sample", "--model", "flags3", "--count", "50"] + COMMON)
+    assert code == 0
+    assert len(runs) == 1
+    summary = json.loads(out.read_text())["summary"]
+    assert summary == {"tuples": 50, **sampling_stats(runs[0])}
+
+
+def test_invariant_and_probe_share_rows_and_summary(tmp_path):
+    argv = ["--model", "complex_hyperbolic", "--count", "300"] + COMMON
+    _, inv = run_to_file(tmp_path, "i.json", ["invariant"] + argv)
+    _, probe = run_to_file(tmp_path, "p.json", ["probe-config-space"] + argv)
+    inv, probe = json.loads(inv.read_text()), json.loads(probe.read_text())
+    assert inv["results"] == probe["results"]
+    assert inv["summary"] == {key: probe["summary"][key] for key in inv["summary"]}
 
 
 def test_probe_command(tmp_path):
