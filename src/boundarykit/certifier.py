@@ -147,8 +147,15 @@ def _real_target_grid(delta: float, cfg: GridConfig) -> np.ndarray:
     return np.unique(np.concatenate([uniform, dyadic]))
 
 
-def _sup_abs(F: ScalarFunction, values) -> float:
-    return max(abs(F(v)) for v in values)
+def _sup_abs(F: ScalarFunction, points) -> float:
+    """max |F| over `points`; refuses the first point where |F| is not finite."""
+    sup = 0.0
+    for x in points:
+        value = abs(F(x))
+        if not math.isfinite(value):
+            raise UnboundedDefect(f"|F| = {value!r} at point {x!r} is not finite")
+        sup = max(sup, value)
+    return sup
 
 
 def _certify(F: ScalarFunction, target, base, near2, in_target, cap: int,
@@ -156,11 +163,11 @@ def _certify(F: ScalarFunction, target, base, near2, in_target, cap: int,
              overrides: Optional[dict]) -> BoundCertificate:
     """Run the doubling recursion on one region and assemble its certificate.
 
-    `target` yields the target grid as Python scalars; squaring each point
-    until `in_target` fails gives k_max (at most `cap` squarings).  B_defect
-    is the defect supremum over the same points, M_base and M_near2 the
-    suprema of |F| over the `base` and `near2` grids.  Each of the three is
-    replaced by its `overrides` value, if given, and labeled `analytic`.
+    The grids yield Python scalars.  Squaring each `target` point until
+    `in_target` fails gives k_max (at most `cap` squarings).  B_defect is
+    the defect supremum over the same points, M_base and M_near2 the suprema
+    of |F| over the `base` and `near2` grids; a NaN is refused as a blow-up.
+    Each is replaced by its `overrides` value, if given, labeled `analytic`.
     """
     overrides = {key: float(value) for key, value in (overrides or {}).items()}
     unknown = set(overrides) - {"B_defect", "M_base", "M_near2"}
@@ -178,9 +185,10 @@ def _certify(F: ScalarFunction, target, base, near2, in_target, cap: int,
         k_max = max(k_max, k)
         if "B_defect" not in overrides:
             d = abs(doubling_defect(F, x))
-            if d > blowup_threshold:
+            if not d <= blowup_threshold:  # NaN fails this test too
+                relation = "exceeds" if d > blowup_threshold else "is not below"
                 raise UnboundedDefect(
-                    f"doubling defect {d:.3e} at point {x!r} exceeds threshold "
+                    f"doubling defect {d:.3e} at point {x!r} {relation} threshold "
                     f"{blowup_threshold:.1e}")
             worst = max(worst, d)
     inputs = {"B_defect": worst}
@@ -221,8 +229,8 @@ def certify_interval(F: ScalarFunction, delta: float = 0.125,
                         near2=f"[{2 - delta}, {near2_hi}]")
     # plain floats for a refusal's repr; map() avoids a list of the whole grid
     return _certify(F, map(float, _real_target_grid(delta, cfg)),
-                    np.linspace(base_lo, edge, n),
-                    np.linspace(2.0 - delta, near2_hi, n),
+                    map(float, np.linspace(base_lo, edge, n)),
+                    map(float, np.linspace(2.0 - delta, near2_hi, n)),
                     lambda x: x > edge, cap, region, blowup_threshold, overrides)
 
 
@@ -339,7 +347,7 @@ def extend_by_symmetry(cert_near_1: BoundCertificate, F: ScalarFunction,
         pieces = [np.linspace(-1.0 / delta, -delta, n),
                   np.linspace(delta, 1.0 - delta, n),
                   np.linspace(1.0 / (1.0 - delta), 1.0 / delta, n)]
-        compact_sup = max(_sup_abs(F, piece) for piece in pieces)
+        compact_sup = max(_sup_abs(F, map(float, piece)) for piece in pieces)
         kind, target = "real_global", "R minus {0, 1}"
     else:
         rho = delta / 2.0

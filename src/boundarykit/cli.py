@@ -20,8 +20,6 @@ import os
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from .certifier import (GridConfig, alternating_bump_function, certify_complex_region,
                         certify_interval, const_function, pole_function, vol3_slice)
 from .cochains import Cochain, empirical_sup_defect
@@ -29,7 +27,7 @@ from .errors import BoundaryKitError, UnboundedDefect, UnknownInvariant
 from .reports import (INVARIANT_MODELS, ReportEnvelope, SamplerConfig,
                       compactness_probe, emit_report, invariant_values,
                       sample_with_stats, summarize_invariant)
-from .sampling import chart_tuple_sampler, circle_tuple_sampler
+from .sampling import chart_tuple_sampler, circle_tuple_sampler, task_seed
 from .version import __version__
 from .volume import vol2, vol3
 
@@ -43,11 +41,6 @@ _FUNCTIONS = {
     "vol3-slice": lambda field: vol3_slice(),
     "bump": lambda field: alternating_bump_function(),
 }
-
-
-def task_seed(master: int, index: int) -> int:
-    """Counter-based substream seed for task `index` under a master seed."""
-    return int(np.random.SeedSequence(master, spawn_key=(index,)).generate_state(1)[0])
 
 
 def _resolve_seed(args) -> int:

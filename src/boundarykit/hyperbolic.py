@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateTuple, MixedModels, SignatureError
-from .projective import EPS_DIST, ProjectivePoint, cross_ratio
+from .projective import EPS_DIST, ProjectivePoint, coincident_pair, cross_ratio
 
 RANK_TOL = 1e-10  # relative singular-value threshold for subspace detection
 
@@ -104,14 +104,8 @@ class ComplexBoundaryPoint:
         return self.lift.shape[0] - 1
 
     def chordal_distance(self, other: "ComplexBoundaryPoint") -> float:
-        """sin of the Hermitian angle between the two null lines.
-
-        Computed as the norm of the wedge of the unit lifts, which stays
-        accurate near zero (no cancellation for nearly equal lines).
-        """
-        z, w = self.lift, other.lift
-        wedge = np.outer(z, w) - np.outer(w, z)
-        return float(np.linalg.norm(wedge)) / math.sqrt(2.0)
+        """sin of the Hermitian angle between the two null lines."""
+        return float(complex_chordal_distance(self.lift, other.lift))
 
     def __repr__(self):
         return f"ComplexBoundaryPoint({self.lift.tolist()})"
@@ -163,15 +157,36 @@ def lorentz_product(u, v) -> float:
     return float(u[:-1] @ v[:-1] - u[-1] * v[-1])
 
 
-def hermitian_product(z, w) -> complex:
-    """<z, w> for diag(1, ..., 1, -1) on C^{n+1}, antilinear in w."""
+def hermitian_product(z, w):
+    """<z, w> for diag(1, ..., 1, -1) on C^{n+1} over the last axis; antilinear in w."""
     z = np.asarray(z, dtype=np.complex128)
     w = np.asarray(w, dtype=np.complex128)
-    return complex(z[:-1] @ w[:-1].conj() - z[-1] * w[-1].conj())
+    return (np.einsum("...i,...i->...", z[..., :-1], w[..., :-1].conj())
+            - z[..., -1] * w[..., -1].conj())
 
 
 # ---------------------------------------------------------------------------
-# genericity
+# chordal distances and genericity
+
+
+def real_chordal_distance(u, v):
+    """Euclidean chord |u - v| between unit directions, over the last axis.
+
+    The stacked dot product reduces each row with the same BLAS dot as the
+    1-D norm in RealBoundaryPoint.chordal_distance, so both agree bit for bit.
+    """
+    d = u - v
+    return np.sqrt(np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0])
+
+
+def complex_chordal_distance(z, w):
+    """sin of the Hermitian angle between null lines, over the last axis.
+
+    Computed as the norm of the wedge of the unit lifts, which stays
+    accurate near zero (no cancellation for nearly equal lines).
+    """
+    wedge = z[..., :, None] * w[..., None, :] - w[..., :, None] * z[..., None, :]
+    return np.linalg.norm(wedge, axis=(-2, -1)) / math.sqrt(2.0)
 
 
 def is_generic_tuple(points, tol: float = EPS_DIST) -> bool:
@@ -189,11 +204,7 @@ def is_generic_tuple(points, tol: float = EPS_DIST) -> bool:
     for p in points[1:]:
         if type(p) is not type(first) or p.dim != first.dim:
             raise MixedModels("points come from different boundary models")
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if points[i].chordal_distance(points[j]) <= tol:
-                return False
-    return True
+    return coincident_pair(points, tol) is None
 
 
 def _require_generic(points, tol=EPS_DIST):
@@ -215,19 +226,14 @@ def cartan_invariant(x: ComplexBoundaryPoint, y: ComplexBoundaryPoint,
     totally real triples; equals +-pi/2 exactly on chain triples.
     """
     _require_generic((x, y, z))
-    prod = (hermitian_product(x.lift, y.lift)
-            * hermitian_product(y.lift, z.lift)
-            * hermitian_product(z.lift, x.lift))
-    return math.atan2((-prod).imag, (-prod).real)
+    # one-row arrays round the complex product as the batch kernel does
+    return float(cartan_invariant_batch(x.lift[None], y.lift[None], z.lift[None])[0])
 
 
 def cartan_invariant_batch(lifts_x, lifts_y, lifts_z) -> np.ndarray:
     """Vectorized Cartan invariant for stacked unit null lifts (rows)."""
-
-    def herm(a, b):
-        return np.einsum("ni,ni->n", a[:, :-1], b[:, :-1].conj()) - a[:, -1] * b[:, -1].conj()
-
-    prod = -(herm(lifts_x, lifts_y) * herm(lifts_y, lifts_z) * herm(lifts_z, lifts_x))
+    prod = -(hermitian_product(lifts_x, lifts_y) * hermitian_product(lifts_y, lifts_z)
+             * hermitian_product(lifts_z, lifts_x))
     return np.angle(prod)
 
 
@@ -285,16 +291,12 @@ def boundary_to_chart(p: RealBoundaryPoint) -> ProjectivePoint:
 
 def chart_to_boundary(p: ProjectivePoint) -> RealBoundaryPoint:
     """Inverse stereographic chart; complex points land on S^2, real on S^1."""
-    a, b = p.coords
-    if p.field_tag == "real":
-        # homogeneous (a, b) ~ value t = a/b on R u {inf}
-        t2 = a * a
-        b2 = b * b
-        return RealBoundaryPoint(np.array([2 * a * b, t2 - b2]) / (t2 + b2))
+    a, b = p.coords  # homogeneous (a, b) ~ value a/b
     t2 = (a * a.conjugate()).real
     b2 = (b * b.conjugate()).real
     w = a * b.conjugate()
-    return RealBoundaryPoint(np.array([2 * w.real, 2 * w.imag, t2 - b2]) / (t2 + b2))
+    plane = [2 * w.real] if p.field_tag == "real" else [2 * w.real, 2 * w.imag]
+    return RealBoundaryPoint(np.array(plane + [t2 - b2]) / (t2 + b2))
 
 
 def halfplane_to_hyperboloid(z: complex) -> HyperbolicPoint:

@@ -102,13 +102,25 @@ class ProjectivePoint:
         return f"ProjectivePoint({v!r}, field={self.field_tag})"
 
 
-def _require_distinct(points, tol=EPS_DIST):
+def coincident_pair(points, tol: float = EPS_DIST):
+    """First pair (i, j), i < j, at chordal distance <= tol, else None.
+
+    The package's one distinctness rule: two points of any model (anything
+    with a `chordal_distance`) are distinct iff their distance exceeds tol.
+    """
     n = len(points)
     for i in range(n):
         for j in range(i + 1, n):
-            if points[i].chordal_distance(points[j]) < tol:
-                raise DegenerateTuple(
-                    f"points {i} and {j} coincide within tolerance {tol:g}")
+            if points[i].chordal_distance(points[j]) <= tol:
+                return i, j
+    return None
+
+
+def _require_distinct(points, tol=EPS_DIST):
+    pair = coincident_pair(points, tol)
+    if pair is not None:
+        raise DegenerateTuple(
+            f"points {pair[0]} and {pair[1]} coincide within tolerance {tol:g}")
 
 
 def _det(p, q) -> complex:
@@ -123,8 +135,12 @@ def cross_ratio(x0: ProjectivePoint, x1: ProjectivePoint,
     points at infinity need no special casing.  Raises DegenerateTuple when
     two inputs coincide within EPS_DIST.
     """
-    points = (x0, x1, x2, x3)
-    _require_distinct(points)
+    _require_distinct((x0, x1, x2, x3))
+    return _cross_ratio(x0, x1, x2, x3)
+
+
+def _cross_ratio(x0, x1, x2, x3):
+    """cross_ratio without its distinctness check, for callers that made it."""
     num = _det(x0, x2) * _det(x1, x3)
     den = _det(x0, x3) * _det(x1, x2)
     if abs(den) == 0.0:
@@ -203,12 +219,11 @@ def normalize_to_standard(x0: ProjectivePoint, x1: ProjectivePoint,
     the image of x2 at (1, 1).
     """
     _require_distinct((x0, x1, x2))
-    frame = np.column_stack([x0.coords, x1.coords])
-    det = frame[0, 0] * frame[1, 1] - frame[0, 1] * frame[1, 0]
+    (a0, b0), (a1, b1) = x0.coords, x1.coords
+    det = _det(x0, x1)
     if abs(det) < EPS_DET:
         raise DegenerateTuple("first two points coincide projectively")
-    inv = np.array([[frame[1, 1], -frame[0, 1]],
-                    [-frame[1, 0], frame[0, 0]]]) / det
+    inv = np.array([[b1, -a1], [-b0, a0]]) / det
     w = inv @ x2.coords
     if min(abs(w[0]), abs(w[1])) < EPS_DET:
         raise DegenerateTuple("third point coincides with one of the first two")

@@ -25,9 +25,11 @@ from . import flags as flags_mod
 from .errors import UnknownInvariant
 from .flags import Flag3
 from .hyperbolic import (ComplexBoundaryPoint, RealBoundaryPoint,
-                         cartan_invariant_batch)
+                         cartan_invariant_batch, complex_chordal_distance,
+                         real_chordal_distance)
 from .sampling import rejection_loop
 from .version import __version__
+from .volume import circle_orientation
 
 ESCAPE_HI_DEFAULT = 1e3
 ESCAPE_LO_DEFAULT = 1e-3
@@ -98,15 +100,6 @@ def _batch_sphere(rng, m: int, size: int, dim: int):
     return v / np.linalg.norm(v, axis=2, keepdims=True)
 
 
-def _mask_sphere_generic(batch, tol):
-    m = np.ones(batch.shape[0], dtype=bool)
-    size = batch.shape[1]
-    for i in range(size):
-        for j in range(i + 1, size):
-            m &= np.linalg.norm(batch[:, i] - batch[:, j], axis=1) > tol
-    return m
-
-
 def _batch_complex(rng, m: int, size: int, dim: int):
     w = rng.standard_normal((m, size, dim)) + 1j * rng.standard_normal((m, size, dim))
     w = w / np.linalg.norm(w, axis=2, keepdims=True)
@@ -114,15 +107,13 @@ def _batch_complex(rng, m: int, size: int, dim: int):
     return lifts
 
 
-def _mask_complex_generic(lifts, tol):
-    m = np.ones(lifts.shape[0], dtype=bool)
-    size = lifts.shape[1]
+def _mask_generic(batch, tol, distance):
+    """Rows of (m, size, k) `batch` whose points are pairwise > tol apart."""
+    m = np.ones(batch.shape[0], dtype=bool)
+    size = batch.shape[1]
     for i in range(size):
         for j in range(i + 1, size):
-            z, w = lifts[:, i], lifts[:, j]
-            wedge = z[:, :, None] * w[:, None, :] - w[:, :, None] * z[:, None, :]
-            dist = np.linalg.norm(wedge, axis=(1, 2)) / math.sqrt(2.0)
-            m &= dist > tol
+            m &= distance(batch[:, i], batch[:, j]) > tol
     return m
 
 
@@ -153,20 +144,21 @@ def _accepted_batches(config: SamplerConfig, budget_factor: int = 100):
     chunks = []
 
     def draw(m):
-        if config.model in ("S1", "Sn"):
-            dim = 2 if config.model == "S1" else config.dim
-            batch = _batch_sphere(rng, m, config.tuple_size, dim)
-            mask = _mask_sphere_generic(batch, config.tolerance)
-            chunks.append(batch[mask])
-        elif config.model == "complex_hyperbolic":
-            batch = _batch_complex(rng, m, config.tuple_size, config.dim)
-            mask = _mask_complex_generic(batch, config.tolerance)
-            chunks.append(batch[mask])
-        else:
+        if config.model == "flags3":
             lines, planes = _batch_flags(rng, m, config.tuple_size)
             mask = _mask_flags_generic(lines, planes, config.tuple_size,
                                        config.tolerance)
             chunks.append((lines[mask], planes[mask]))
+            return int(mask.sum())
+        if config.model == "complex_hyperbolic":
+            batch = _batch_complex(rng, m, config.tuple_size, config.dim)
+            distance = complex_chordal_distance
+        else:
+            dim = 2 if config.model == "S1" else config.dim
+            batch = _batch_sphere(rng, m, config.tuple_size, dim)
+            distance = real_chordal_distance
+        mask = _mask_generic(batch, config.tolerance, distance)
+        chunks.append(batch[mask])
         return int(mask.sum())
 
     draws = rejection_loop(draw, config.count, budget_factor)
@@ -219,13 +211,6 @@ def sample_tuples(config: SamplerConfig):
 # invariants over samples
 
 
-def _orientation_values(batch) -> np.ndarray:
-    u, v, w = batch[:, 0], batch[:, 1], batch[:, 2]
-    cross = ((v[:, 0] - u[:, 0]) * (w[:, 1] - u[:, 1])
-             - (v[:, 1] - u[:, 1]) * (w[:, 0] - u[:, 0]))
-    return np.sign(cross)
-
-
 INVARIANT_MODELS = {"orientation_class": "S1", "cartan": "complex_hyperbolic",
                      "triple_ratio": "flags3"}
 
@@ -241,7 +226,7 @@ def invariant_values(config: SamplerConfig, invariant_name: str) -> np.ndarray:
         raise ValueError(f"{invariant_name} needs triples")
     data = _concat_chunks(config, _accepted_batches(config)[0])
     if invariant_name == "orientation_class":
-        return _orientation_values(data)
+        return np.sign(circle_orientation(*data.transpose(1, 2, 0)))
     if invariant_name == "cartan":
         return cartan_invariant_batch(data[:, 0], data[:, 1], data[:, 2])
     return flags_mod.batch_triple_ratio(*data)

@@ -4,9 +4,9 @@ A tuple sampler is a callable `sampler(rng) -> tuple | None`; None marks a
 rejected (non-generic) draw.  `rejection_loop`, with the standard 100x
 budget, is the one rejection loop: `for_each_tuple` and `draw_tuples` run
 tuple samplers through it, as do `cochains.empirical_sup_defect` and the
-batch samplers in `reports`.  Master seeds expand into independent
-substreams with `substream`, a counter-based split, so parallel tasks stay
-deterministic.
+batch samplers in `reports`.  `task_seed` splits a master seed into
+independent per-task seeds, counter-based, so tasks stay deterministic
+whatever order they run in.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from .hyperbolic import (ComplexBoundaryPoint, HyperbolicPoint,
 from .projective import EPS_DIST
 
 
-def substream(seed: int, *key: int) -> np.random.Generator:
-    """Independent deterministic generator for a (seed, task-key) pair."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
+def task_seed(master: int, index: int) -> int:
+    """Counter-based substream seed for task `index` under a master seed."""
+    return int(np.random.SeedSequence(master, spawn_key=(index,)).generate_state(1)[0])
 
 
 def rejection_loop(draw, n: int, budget_factor: int = 100) -> int:
@@ -93,28 +93,18 @@ def random_hyperbolic_point(rng, dim: int, spread: float = 1.0) -> HyperbolicPoi
     return HyperbolicPoint(np.append(v, math.sqrt(1.0 + v @ v)))
 
 
-def _generic_tuple_sampler(random_point, dim: int, size: int, tol: float):
-    """Tuples of `size` points `random_point(rng, dim)`; None unless generic."""
+def sphere_tuple_sampler(dim: int, size: int, tol: float = EPS_DIST):
+    """Tuples of pairwise-distinct points on the boundary sphere of H^dim."""
 
     def sample(rng):
-        points = tuple(random_point(rng, dim) for _ in range(size))
+        points = tuple(random_boundary_point(rng, dim) for _ in range(size))
         return points if is_generic_tuple(points, tol) else None
 
     return sample
 
 
-def sphere_tuple_sampler(dim: int, size: int, tol: float = EPS_DIST):
-    """Tuples of pairwise-distinct points on the boundary sphere of H^dim."""
-    return _generic_tuple_sampler(random_boundary_point, dim, size, tol)
-
-
 def circle_tuple_sampler(size: int, tol: float = EPS_DIST):
     return sphere_tuple_sampler(2, size, tol)
-
-
-def complex_tuple_sampler(n: int, size: int, tol: float = EPS_DIST):
-    """Tuples of pairwise-distinct points of the boundary of H^n_C."""
-    return _generic_tuple_sampler(random_complex_boundary_point, n, size, tol)
 
 
 def chart_tuple_sampler(size: int, tol: float = EPS_DIST):
@@ -178,8 +168,7 @@ def random_mixed_cochain(model_arity: int, boundary_arity: int, rng,
     def ev(models, boundary):
         total = 0.0
         for w, s, (i, j) in zip(mm_w, mm_s, mm_pairs):
-            d = math.acosh(max(1.0, -lorentz_product(models[i].lift, models[j].lift)))
-            total += w * math.exp(-s * d)
+            total += w * math.exp(-s * models[i].distance(models[j]))
         if invariant:
             if model_arity >= 2:
                 for w, k in zip(ratio_w, range(boundary_arity)):

@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import DegenerateTuple, MixedModels
 from .hyperbolic import RealBoundaryPoint, boundary_to_chart
-from .projective import EPS_DIST, ProjectivePoint, cross_ratio, is_infinite
+from .projective import (EPS_DIST, ProjectivePoint, _cross_ratio, _require_distinct,
+                         is_infinite)
 
 # zeta(2n) for the accelerated expansion; exact powers of pi for the first
 # three, rapidly converging direct sums beyond
@@ -74,6 +75,14 @@ class LobachevskyEvaluator:
         return 0.5 * float(np.sin(2.0 * theta * self._n) @ self._inv_n2)
 
 
+def circle_orientation(u, v, w):
+    """Twice the signed area of triangle u, v, w (> 0 counterclockwise).
+
+    Coordinates run along the first axis, so (2, m) arrays give m values.
+    """
+    return (v[0] - u[0]) * (w[1] - u[1]) - (v[1] - u[1]) * (w[0] - u[0])
+
+
 def vol2(x: RealBoundaryPoint, y: RealBoundaryPoint, z: RealBoundaryPoint,
          tol: float = EPS_DIST) -> float:
     """Signed area of the ideal triangle in H^2: +-pi by cyclic orientation.
@@ -84,12 +93,9 @@ def vol2(x: RealBoundaryPoint, y: RealBoundaryPoint, z: RealBoundaryPoint,
     for p in (x, y, z):
         if p.dim != 2:
             raise MixedModels("vol2 expects points on the circle (dim 2)")
-    if min(x.chordal_distance(y), y.chordal_distance(z),
-           z.chordal_distance(x)) <= tol:
-        raise DegenerateTuple("triple is not pairwise distinct")
-    u, v, w = x.direction, y.direction, z.direction
-    cross = (v[0] - u[0]) * (w[1] - u[1]) - (v[1] - u[1]) * (w[0] - u[0])
-    return math.pi if cross > 0 else -math.pi
+    _require_distinct((x, y, z), tol)
+    turn = circle_orientation(x.direction, y.direction, z.direction)
+    return math.pi if turn > 0 else -math.pi
 
 
 def vol3_from_cross_ratio(z) -> float:
@@ -117,12 +123,8 @@ def vol3(x0, x1, x2, x3, tol: float = EPS_DIST) -> float:
     for p in points:
         if not isinstance(p, ProjectivePoint):
             raise TypeError(f"vol3 expects boundary points, got {type(p).__name__}")
-    n = len(points)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if points[i].chordal_distance(points[j]) <= tol:
-                raise DegenerateTuple("4-tuple is not pairwise distinct")
-    return vol3_from_cross_ratio(cross_ratio(*points))
+    _require_distinct(points, tol)
+    return vol3_from_cross_ratio(_cross_ratio(*points))
 
 
 MAX_VOL3 = 3 * lobachevsky(math.pi / 3)  # volume of the regular ideal tetrahedron

@@ -167,6 +167,37 @@ def test_pole_is_refused():
         certify_interval(pole_function(), delta=0.02, grid=FAST_GRID)
 
 
+def refused_point(refusal, before, after):
+    """The point a refusal message names, parsed back from its plain repr."""
+    message = str(refusal.value)
+    return complex(message.split(before)[1].split(after)[0])
+
+
+REGIONS = [
+    pytest.param(certify_interval, "real", 0.125, id="real"),
+    pytest.param(certify_complex_region, "complex", 0.1, id="complex"),
+]
+
+
+@pytest.mark.parametrize("certify, field, delta", REGIONS)
+def test_nan_on_the_target_is_refused(certify, field, delta):
+    F = ScalarFunction(lambda x: math.nan if 0.99 < abs(x) < 1 else 1.0, field)
+    with pytest.raises(UnboundedDefect) as refusal:
+        certify(F, delta=delta, grid=FAST_GRID)
+    x = refused_point(refusal, "doubling defect nan at point ", " is not below")
+    assert 0.99 < abs(x) < 1
+
+
+@pytest.mark.parametrize("certify, field, delta", REGIONS)
+def test_nan_only_near_2_is_refused(certify, field, delta):
+    # with B_defect given, only the M_near2 sweep evaluates F near 2
+    F = ScalarFunction(lambda x: math.nan if abs(x - 2) < 0.01 else 1.0, field)
+    with pytest.raises(UnboundedDefect) as refusal:
+        certify(F, delta=delta, grid=FAST_GRID, overrides={"B_defect": 0.0})
+    x = refused_point(refusal, "|F| = nan at point ", " is not finite")
+    assert abs(x - 2) < 0.01
+
+
 def test_interval_rejects_bad_delta():
     with pytest.raises(ValueError):
         certify_interval(const_function(1.0), delta=1.5)

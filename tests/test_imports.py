@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports at top level."""
+"""Every module of the package uses each name it imports at top level, and
+every top-level function and class is used somewhere."""
 
 import ast
 import pathlib
@@ -8,6 +9,7 @@ import pytest
 import boundarykit
 
 PACKAGE = pathlib.Path(boundarykit.__file__).parent
+TESTS = pathlib.Path(__file__).parent
 # __init__.py imports names only to re-export them through __all__
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -31,3 +33,36 @@ def test_no_unused_top_level_import(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(set(imported_names(tree)) - used) == []
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def uses(path):
+    """(path, enclosing top-level definition or None, identifier) triples."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for statement in tree.body:
+        owner = statement.name if isinstance(statement, DEFINITIONS) else None
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name):
+                yield path, owner, node.id
+            elif isinstance(node, ast.Attribute):
+                yield path, owner, node.attr
+            elif isinstance(node, ast.alias):  # imports, re-exports included
+                yield path, owner, node.name
+
+
+def test_every_top_level_definition_is_referenced():
+    files = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    references = {}
+    for path in files:
+        for where, owner, name in uses(path):
+            references.setdefault(name, set()).add((where, owner))
+    unused = []
+    for path in MODULES:
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(statement, DEFINITIONS):
+                own_body = {(path, statement.name)}  # not a use of itself
+                if not references.get(statement.name, set()) - own_body:
+                    unused.append(f"{path.stem}.{statement.name}")
+    assert unused == []

@@ -5,7 +5,7 @@ import pytest
 
 from boundarykit import (Cochain, SamplerConfig, SamplerExhausted,
                          empirical_sup_defect, reports, sampling_stats)
-from boundarykit.sampling import draw_tuples, rejection_loop
+from boundarykit.sampling import draw_tuples, rejection_loop, task_seed
 
 N = 7
 
@@ -56,13 +56,13 @@ def test_sup_defect_stops_at_the_nth_acceptance():
 def test_sampling_stats_stops_at_the_nth_acceptance(monkeypatch):
     seen = 0
 
-    def mask(batch, tol):  # accepts the draws with an even index
+    def mask(batch, tol, distance):  # accepts the draws with an even index
         nonlocal seen
         index = seen + np.arange(batch.shape[0])
         seen += batch.shape[0]
         return index % 2 == 0
 
-    monkeypatch.setattr(reports, "_mask_sphere_generic", mask)
+    monkeypatch.setattr(reports, "_mask_generic", mask)
     stats = sampling_stats(SamplerConfig(model="S1", count=N, seed=3))
     assert stats["draws"] == 2 * N - 1
     assert stats["accepted"] == N
@@ -83,8 +83,14 @@ def test_all_three_exhaust_alike_at_the_budget(monkeypatch):
         empirical_sup_defect(Cochain(arity=1, evaluator=lambda x: x),
                              rejecting, N, seed=3)
     assert len(calls) == 200 * N
-    monkeypatch.setattr(reports, "_mask_sphere_generic",
-                        lambda batch, tol: np.zeros(batch.shape[0], dtype=bool))
+    monkeypatch.setattr(reports, "_mask_generic",
+                        lambda batch, tol, distance: np.zeros(batch.shape[0], dtype=bool))
     with pytest.raises(SamplerExhausted) as batch:
         sampling_stats(SamplerConfig(model="S1", count=N, seed=3))
     assert {str(e.value) for e in (per_tuple, defect, batch)} == {expected}
+
+
+def test_task_seeds_are_pinned():
+    # verify-cocycle draws its two checks from these; they must not move
+    assert task_seed(7, 0) == 1201125462
+    assert task_seed(7, 1) == 3618983171
