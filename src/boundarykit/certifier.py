@@ -103,6 +103,11 @@ class GridConfig:
     points_per_region: int = DEFAULT_GRID_POINTS
     dyadic_depth: int = DEFAULT_DYADIC_DEPTH
 
+    def __post_init__(self):
+        # an empty grid would certify suprema of 0 without evaluating F
+        if self.points_per_region < 1:
+            raise ValueError("points_per_region must be at least 1")
+
 
 def _check_away_from(value, excluded, tol=ARG_TOL):
     for bad in excluded:
@@ -212,8 +217,9 @@ def certify_interval(F: ScalarFunction, delta: float = 0.125,
     bounds it on [2-delta, max(2+delta, 2/(1-delta))], where 1+x and
     (1+x)/x land for x in the target; B_defect bounds the doubling defect
     on the target.  All three come from grids unless overridden with
-    analytic values.  Raises UnboundedDefect when the grid defect exceeds
-    `blowup_threshold`.
+    analytic values.  Raises UnboundedDefect when the grid defect is not
+    below `blowup_threshold` (a NaN defect included) or when |F| is not
+    finite at a base or near-2 grid point.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -301,7 +307,8 @@ def certify_complex_region(F: ScalarFunction, delta: float = 0.1,
     Repeated squaring sends each grid point of U into the closure of the
     doubled sector {(1-delta)^2 < |w| <= 1, |arg w| < 2 delta} minus U (in
     at most k_max steps, recorded); the recursion then gives
-    certified_bound = M_base + 2 C exactly as in the real case.
+    certified_bound = M_base + 2 C and refuses with UnboundedDefect exactly
+    as in the real case.
     """
     if not 0.0 < delta < 0.25:
         raise ValueError("delta must lie in (0, 1/4)")
@@ -333,6 +340,8 @@ def extend_by_symmetry(cert_near_1: BoundCertificate, F: ScalarFunction,
     of 0 and infinity with the same constant; a grid supremum over the
     remaining compact region completes a bound on the whole punctured
     domain.  Requires the caller to have declared alternating provenance.
+    Raises UnboundedDefect when |F| is not finite at a compact-region grid
+    point.
     """
     if not F.from_alternating:
         raise MissingAlternation(

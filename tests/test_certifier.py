@@ -198,6 +198,24 @@ def test_nan_only_near_2_is_refused(certify, field, delta):
     assert abs(x - 2) < 0.01
 
 
+@pytest.mark.parametrize("certify, field, delta", REGIONS)
+def test_nan_on_the_compact_region_is_refused(certify, field, delta):
+    cert = certify(const_function(1.0, field), delta=delta, grid=FAST_GRID)
+    F = ScalarFunction(lambda x: math.nan if abs(x) < 0.6 else 1.0, field,
+                       from_alternating=True)
+    with pytest.raises(UnboundedDefect) as refusal:
+        extend_by_symmetry(cert, F, grid=FAST_GRID)
+    x = refused_point(refusal, "|F| = nan at point ", " is not finite")
+    assert abs(x) < 0.6
+
+
+@pytest.mark.parametrize("points", [0, -3])
+def test_an_empty_grid_issues_no_certificate(points):
+    with pytest.raises(ValueError, match="points_per_region"):
+        certify_interval(const_function(1.0),
+                         grid=GridConfig(points_per_region=points))
+
+
 def test_interval_rejects_bad_delta():
     with pytest.raises(ValueError):
         certify_interval(const_function(1.0), delta=1.5)

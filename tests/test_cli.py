@@ -142,6 +142,15 @@ def test_config_error_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_certify_bound_on_an_empty_grid_is_a_config_error(tmp_path, field):
+    out = tmp_path / "x.json"
+    code = main(["certify-bound", "--function", "const", "--field", field,
+                 "--grid", "0", "--out", str(out)] + COMMON)
+    assert code == 2
+    assert not out.exists()
+
+
 def test_model_without_default_invariant_is_a_config_error(tmp_path):
     code = main(["invariant", "--model", "Sn", "--n", "4", "--count", "5",
                  "--out", str(tmp_path / "x.json")] + COMMON)

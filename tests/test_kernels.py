@@ -70,19 +70,6 @@ def test_vol3_rejects_charted_points_at_exactly_tol(gap):
 # the point methods and the batch kernels agree bit for bit
 
 
-@pytest.mark.parametrize("dim", [2, 3, 5])
-def test_real_chordal_kernel_matches_the_point_method(dim):
-    rng = np.random.default_rng(dim)
-    u, v = rng.standard_normal((2, 500, dim))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    points = [RealBoundaryPoint(row) for row in np.concatenate([u, v])]
-    u = np.stack([p.direction for p in points[:500]])
-    v = np.stack([p.direction for p in points[500:]])
-    expected = [p.chordal_distance(q) for p, q in zip(points[:500], points[500:])]
-    assert real_chordal_distance(u, v).tolist() == expected
-
-
 def test_complex_chordal_kernel_matches_the_point_method():
     rng = np.random.default_rng(5)
     pairs = [(random_complex_boundary_point(rng, 3),
