@@ -36,13 +36,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (DegenerateArguments, IterationOverflow,
+from .errors import (DegenerateArguments, EvaluationError, IterationOverflow,
                      MissingAlternation, UnboundedDefect)
 
 ARG_TOL = 1e-12            # distance to the excluded points 0, 1
-DEFAULT_BLOWUP = 1e6       # defect level at which certification is refused
-DEFAULT_GRID_POINTS = 10_000
-DEFAULT_DYADIC_DEPTH = 48
+BLOWUP_THRESHOLD = 1e6     # defect level at which certification is refused
+DYADIC_DEPTH = 48          # halvings of delta in each target grid's tail
+DEFAULT_DELTA = {"real": 0.125, "complex": 0.1}
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,11 @@ class ScalarFunction:
     name: str = ""
 
     def __call__(self, x) -> float:
-        return float(self.evaluator(x))
+        try:
+            return float(self.evaluator(x))
+        except Exception as exc:
+            raise EvaluationError(
+                f"evaluator raised {type(exc).__name__} at point {x!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -100,8 +104,7 @@ class BoundCertificate:
 class GridConfig:
     """Resolution of the empirical grids."""
 
-    points_per_region: int = DEFAULT_GRID_POINTS
-    dyadic_depth: int = DEFAULT_DYADIC_DEPTH
+    points_per_region: int = 10_000
 
     def __post_init__(self):
         # an empty grid would certify suprema of 0 without evaluating F
@@ -140,15 +143,15 @@ def doubling_defect(F: ScalarFunction, x) -> float:
 # grids
 
 
-def _effective_depth(delta: float, cfg: GridConfig) -> int:
+def _effective_depth(delta: float) -> int:
     """Dyadic depth clamped so tail points stay clear of the excluded point 1."""
-    return min(cfg.dyadic_depth, int(math.log2(delta / (8.0 * ARG_TOL))))
+    return min(DYADIC_DEPTH, int(math.log2(delta / (8.0 * ARG_TOL))))
 
 
 def _real_target_grid(delta: float, cfg: GridConfig) -> np.ndarray:
     """Grid on [1-delta, 1): uniform plus a dyadic tail toward the open end."""
     uniform = 1.0 - delta + delta * np.arange(cfg.points_per_region) / cfg.points_per_region
-    dyadic = 1.0 - delta * 0.5 ** np.arange(1, _effective_depth(delta, cfg) + 1)
+    dyadic = 1.0 - delta * 0.5 ** np.arange(1, _effective_depth(delta) + 1)
     return np.unique(np.concatenate([uniform, dyadic]))
 
 
@@ -164,8 +167,7 @@ def _sup_abs(F: ScalarFunction, points) -> float:
 
 
 def _certify(F: ScalarFunction, target, base, near2, in_target, cap: int,
-             region: RegionSpec, blowup_threshold: float,
-             overrides: Optional[dict]) -> BoundCertificate:
+             region: RegionSpec, overrides: Optional[dict]) -> BoundCertificate:
     """Run the doubling recursion on one region and assemble its certificate.
 
     The grids yield Python scalars.  Squaring each `target` point until
@@ -190,11 +192,11 @@ def _certify(F: ScalarFunction, target, base, near2, in_target, cap: int,
         k_max = max(k_max, k)
         if "B_defect" not in overrides:
             d = abs(doubling_defect(F, x))
-            if not d <= blowup_threshold:  # NaN fails this test too
-                relation = "exceeds" if d > blowup_threshold else "is not below"
+            if not d <= BLOWUP_THRESHOLD:  # NaN fails this test too
+                relation = "exceeds" if d > BLOWUP_THRESHOLD else "is not below"
                 raise UnboundedDefect(
                     f"doubling defect {d:.3e} at point {x!r} {relation} threshold "
-                    f"{blowup_threshold:.1e}")
+                    f"{BLOWUP_THRESHOLD:.1e}")
             worst = max(worst, d)
     inputs = {"B_defect": worst}
     for key, points in (("M_base", base), ("M_near2", near2)):
@@ -207,9 +209,8 @@ def _certify(F: ScalarFunction, target, base, near2, in_target, cap: int,
                             inputs=inputs, k_max=k_max, provenance=provenance)
 
 
-def certify_interval(F: ScalarFunction, delta: float = 0.125,
+def certify_interval(F: ScalarFunction, delta: float = DEFAULT_DELTA["real"],
                      grid: Optional[GridConfig] = None,
-                     blowup_threshold: float = DEFAULT_BLOWUP,
                      overrides: Optional[dict] = None) -> BoundCertificate:
     """Certify |F| on [1-delta, 1) by the doubling recursion.
 
@@ -218,8 +219,9 @@ def certify_interval(F: ScalarFunction, delta: float = 0.125,
     (1+x)/x land for x in the target; B_defect bounds the doubling defect
     on the target.  All three come from grids unless overridden with
     analytic values.  Raises UnboundedDefect when the grid defect is not
-    below `blowup_threshold` (a NaN defect included) or when |F| is not
-    finite at a base or near-2 grid point.
+    below BLOWUP_THRESHOLD (a NaN defect included) or when |F| is not
+    finite at a base or near-2 grid point, and EvaluationError when F
+    raises at a grid point.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -228,7 +230,7 @@ def certify_interval(F: ScalarFunction, delta: float = 0.125,
     edge = 1.0 - delta
     base_lo = (1.0 - delta) ** 2
     near2_hi = max(2.0 + delta, 2.0 / (1.0 - delta))
-    cap = cfg.dyadic_depth + 16 + max(0, math.ceil(math.log2(1.0 / delta)))
+    cap = DYADIC_DEPTH + 16 + max(0, math.ceil(math.log2(1.0 / delta)))
     region = RegionSpec(kind="real_interval", delta=delta,
                         target=f"[{1 - delta}, 1)",
                         base=f"[{base_lo}, {1 - delta}]",
@@ -237,7 +239,7 @@ def certify_interval(F: ScalarFunction, delta: float = 0.125,
     return _certify(F, map(float, _real_target_grid(delta, cfg)),
                     map(float, np.linspace(base_lo, edge, n)),
                     map(float, np.linspace(2.0 - delta, near2_hi, n)),
-                    lambda x: x > edge, cap, region, blowup_threshold, overrides)
+                    lambda x: x > edge, cap, region, overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +262,7 @@ def _sector_grid(delta: float, cfg: GridConfig) -> list:
     args = -delta + 2.0 * delta * (np.arange(m) + 0.5) / m
     points = [complex(r * math.cos(t), r * math.sin(t))
               for r in moduli for t in args]
-    for j in range(1, _effective_depth(delta, cfg) + 1):
+    for j in range(1, _effective_depth(delta) + 1):
         eps = delta * 0.5 ** j
         points.append(cmath.rect(1.0, eps))       # unit modulus, small arg
         points.append(cmath.rect(1.0, -eps))
@@ -298,34 +300,31 @@ def _near2_disk_grid(delta: float, cfg: GridConfig) -> list:
     return points
 
 
-def certify_complex_region(F: ScalarFunction, delta: float = 0.1,
+def certify_complex_region(F: ScalarFunction, delta: float = DEFAULT_DELTA["complex"],
                            grid: Optional[GridConfig] = None,
-                           blowup_threshold: float = DEFAULT_BLOWUP,
                            overrides: Optional[dict] = None) -> BoundCertificate:
     """Certify |F| on the sector U = {1-delta < |z| <= 1, |arg z| < delta}.
 
     Repeated squaring sends each grid point of U into the closure of the
     doubled sector {(1-delta)^2 < |w| <= 1, |arg w| < 2 delta} minus U (in
     at most k_max steps, recorded); the recursion then gives
-    certified_bound = M_base + 2 C and refuses with UnboundedDefect exactly
-    as in the real case.
+    certified_bound = M_base + 2 C and refuses with UnboundedDefect or
+    EvaluationError exactly as in the real case.
     """
     if not 0.0 < delta < 0.25:
         raise ValueError("delta must lie in (0, 1/4)")
     if F.field_tag != "complex":
         raise ValueError("complex certification needs a complex-field function")
     cfg = grid or GridConfig()
-    arg_min = delta * 0.5 ** cfg.dyadic_depth
-    cap = (math.ceil(math.log2(2.0 * delta / arg_min)) + cfg.dyadic_depth
-           + 16 + max(0, math.ceil(math.log2(1.0 / delta))))
+    # tail arg delta / 2**DYADIC_DEPTH reaches 2 delta after DYADIC_DEPTH + 1 doublings
+    cap = 2 * DYADIC_DEPTH + 17 + max(0, math.ceil(math.log2(1.0 / delta)))
     region = RegionSpec(kind="complex_sector", delta=delta,
                         target=f"{{1-{delta} < |z| <= 1, |arg z| < {delta}}}",
                         base="closure of doubled sector minus target",
                         near2=f"disk(2, {_near2_radius(delta):.6g})")
     return _certify(F, _sector_grid(delta, cfg), _base_sector_grids(delta, cfg),
                     _near2_disk_grid(delta, cfg),
-                    lambda z: _in_sector(z, delta), cap, region,
-                    blowup_threshold, overrides)
+                    lambda z: _in_sector(z, delta), cap, region, overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +340,7 @@ def extend_by_symmetry(cert_near_1: BoundCertificate, F: ScalarFunction,
     remaining compact region completes a bound on the whole punctured
     domain.  Requires the caller to have declared alternating provenance.
     Raises UnboundedDefect when |F| is not finite at a compact-region grid
-    point.
+    point, and EvaluationError when F raises at one.
     """
     if not F.from_alternating:
         raise MissingAlternation(

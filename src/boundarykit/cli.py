@@ -15,18 +15,20 @@ the default when --seed is absent.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import asdict
 
-from .certifier import (GridConfig, alternating_bump_function, certify_complex_region,
-                        certify_interval, const_function, pole_function, vol3_slice)
+from .certifier import (DEFAULT_DELTA, GridConfig, alternating_bump_function,
+                        certify_complex_region, certify_interval, const_function,
+                        pole_function, vol3_slice)
 from .cochains import Cochain, empirical_sup_defect
 from .errors import BoundaryKitError, UnboundedDefect, UnknownInvariant
-from .reports import (INVARIANT_MODELS, ReportEnvelope, SamplerConfig,
-                      compactness_probe, emit_report, invariant_values,
-                      sample_with_stats, summarize_invariant)
+from .projective import EPS_DIST
+from .reports import (ESCAPE_HI_DEFAULT, ESCAPE_LO_DEFAULT, INVARIANT_MODELS, MODELS,
+                      ReportEnvelope, SamplerConfig, _write_report, compactness_probe,
+                      emit_report, invariant_values, sample_with_stats,
+                      summarize_invariant)
 from .sampling import chart_tuple_sampler, circle_tuple_sampler, task_seed
 from .version import __version__
 from .volume import vol2, vol3
@@ -56,8 +58,7 @@ def _write(envelope: ReportEnvelope, args) -> None:
     if args.out:
         emit_report(envelope, args.format, args.out)
     else:
-        json.dump(envelope.to_dict(), sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
+        _write_report(envelope, args.format, sys.stdout)
 
 
 def _config_from_args(args, seed: int) -> SamplerConfig:
@@ -141,6 +142,8 @@ def _cmd_verify_cocycle(args) -> int:
 
 def _cmd_certify_bound(args) -> int:
     seed = _resolve_seed(args)
+    if args.delta is None:
+        args.delta = DEFAULT_DELTA[args.field]
     F = _FUNCTIONS[args.function](args.field)
     grid = GridConfig(points_per_region=args.grid)
     config = {"function": args.function, "field": args.field,
@@ -194,14 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=True, tol_default=1e-9):
+    def common(p, model=True, count=True, tol_default=EPS_DIST):
         if model:
-            p.add_argument("--model", default="S1",
-                           choices=["S1", "Sn", "complex_hyperbolic", "flags3"])
+            p.add_argument("--model", default="S1", choices=MODELS)
             p.add_argument("--n", type=int, default=None,
                            help="hyperbolic dimension for Sn / complex_hyperbolic")
             p.add_argument("--size", type=int, default=3, help="tuple size")
-        p.add_argument("--count", type=int, default=1000)
+        if count:
+            p.add_argument("--count", type=int, default=1000)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--tol", type=float, default=tol_default)
         p.add_argument("--format", default="json", choices=["json", "csv"])
@@ -223,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_cocycle)
 
     p = sub.add_parser("certify-bound", help="run the doubling-recursion certifier")
-    common(p, model=False)
+    common(p, model=False, count=False)
     p.add_argument("--function", default="vol3-slice", choices=sorted(_FUNCTIONS))
     p.add_argument("--field", default="complex", choices=["real", "complex"])
     p.add_argument("--delta", type=float, default=None)
@@ -235,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--invariant", default=None,
                    choices=list(INVARIANT_MODELS))
-    p.add_argument("--escape-hi", type=float, default=1e3)
-    p.add_argument("--escape-lo", type=float, default=1e-3)
+    p.add_argument("--escape-hi", type=float, default=ESCAPE_HI_DEFAULT)
+    p.add_argument("--escape-lo", type=float, default=ESCAPE_LO_DEFAULT)
     p.set_defaults(func=_cmd_probe)
 
     return parser
@@ -245,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "certify-bound" and args.delta is None:
-        args.delta = 0.1 if args.field == "complex" else 0.125
     try:
         return args.func(args)
     except BoundaryKitError as exc:

@@ -52,7 +52,6 @@ class Cochain:
     evaluator: Callable[..., float]
     model_arity: int = 0
     alternating: bool = False
-    domain_tag: str = ""
 
     def __post_init__(self):
         if self.arity < 0 or self.model_arity < 0:
@@ -93,8 +92,7 @@ def coboundary(f: Cochain) -> Cochain:
             total += (-1) ** i * _eval(f, models, omitted)
         return total
 
-    return Cochain(arity=f.arity + 1, evaluator=ev, model_arity=f.model_arity,
-                   domain_tag=f.domain_tag)
+    return Cochain(arity=f.arity + 1, evaluator=ev, model_arity=f.model_arity)
 
 
 def model_coboundary(f: Cochain) -> Cochain:
@@ -111,8 +109,7 @@ def model_coboundary(f: Cochain) -> Cochain:
             total += (-1) ** i * _eval(f, omitted, boundary)
         return total
 
-    return Cochain(arity=f.arity, evaluator=ev, model_arity=f.model_arity + 1,
-                   domain_tag=f.domain_tag)
+    return Cochain(arity=f.arity, evaluator=ev, model_arity=f.model_arity + 1)
 
 
 def alternate(f: Cochain) -> Cochain:
@@ -133,8 +130,7 @@ def alternate(f: Cochain) -> Cochain:
         return sum(sign * f.evaluator(*(points[i] for i in perm))
                    for perm, sign in perms)
 
-    return Cochain(arity=p, evaluator=ev, alternating=True,
-                   domain_tag=f.domain_tag)
+    return Cochain(arity=p, evaluator=ev, alternating=True)
 
 
 def alternating_projection(f: Cochain) -> Cochain:
@@ -145,8 +141,7 @@ def alternating_projection(f: Cochain) -> Cochain:
     def ev(*points):
         return alt.evaluator(*points) / factorial
 
-    return Cochain(arity=f.arity, evaluator=ev, alternating=True,
-                   domain_tag=f.domain_tag)
+    return Cochain(arity=f.arity, evaluator=ev, alternating=True)
 
 
 def cone_homotopy(f: Cochain, boundary_points, tol: float = EPS_DIST) -> Cochain:
@@ -170,8 +165,7 @@ def cone_homotopy(f: Cochain, boundary_points, tol: float = EPS_DIST) -> Cochain
     def ev(*models):
         return _eval(f, (apex,) + models, boundary)
 
-    return Cochain(arity=0, evaluator=ev, model_arity=f.model_arity - 1,
-                   domain_tag=f.domain_tag)
+    return Cochain(arity=0, evaluator=ev, model_arity=f.model_arity - 1)
 
 
 def alternation_spot_check(f: Cochain, tuples, tol: float = 1e-10) -> bool:
@@ -203,14 +197,13 @@ class DefectReport:
     seed: int = 0
 
 
-def empirical_sup_defect(f: Cochain, sampler, n: int, seed: int = 0,
-                         budget_factor: int = 100) -> DefectReport:
+def empirical_sup_defect(f: Cochain, sampler, n: int, seed: int = 0) -> DefectReport:
     """Estimate sup |delta f| over n sampled generic tuples.
 
     `sampler(rng)` must return a tuple of f.arity + 1 points, or None for a
     rejected (non-generic) draw.  Deterministic for a fixed seed; raises
     SamplerExhausted when rejections push the total draw count past
-    budget_factor * n.
+    sampling.DRAW_BUDGET * n.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -228,5 +221,5 @@ def empirical_sup_defect(f: Cochain, sampler, n: int, seed: int = 0,
             sup_abs = value
             witness = tuple(candidate)
 
-    for_each_tuple(sampler, rng, n, visit, budget_factor)
+    for_each_tuple(sampler, rng, n, visit)
     return DefectReport(sup_abs=sup_abs, samples=n, argmax_tuple=witness, seed=seed)

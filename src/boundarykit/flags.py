@@ -101,9 +101,6 @@ class FlatBoundary:
     def __setattr__(self, name, value):
         raise AttributeError("FlatBoundary is immutable")
 
-    def as_set(self):
-        return frozenset(self.flags)
-
     def __repr__(self):
         return f"FlatBoundary({len(self.flags)} flags)"
 
@@ -195,27 +192,30 @@ def _pair(phi, e):
 
 
 def batch_is_generic(lines, planes, tol: float = PAIRING_TOL) -> np.ndarray:
-    """Vectorized genericity mask for stacked triples.
+    """Vectorized genericity mask for stacked pairs or triples.
 
-    `lines` and `planes` have shape (count, 3, 3); index 1 runs over the
-    three flags of each triple.
+    `lines` and `planes` have shape (count, size, 3) with size 2 or 3;
+    index 1 runs over the flags of each tuple.  A pair is generic when it
+    is opposite; a triple also needs the flat-boundary conditions.
     """
-    e = [lines[:, i] for i in range(3)]
-    phi = [planes[:, i] for i in range(3)]
+    size = lines.shape[1]
+    e = [lines[:, i] for i in range(size)]
+    phi = [planes[:, i] for i in range(size)]
     ok = np.ones(lines.shape[0], dtype=bool)
-    for i in range(3):
-        for j in range(3):
+    for i in range(size):
+        for j in range(size):
             if i != j:
                 ok &= np.abs(_pair(phi[i], e[j])) > tol
-    for k in range(3):
-        i, j = [m for m in range(3) if m != k]
-        u = (e[i], _rows_unit(np.cross(phi[i], phi[j])), e[j])
-        for a in range(3):
-            for b in range(3):
-                if a != b:
-                    psi = _rows_unit(np.cross(u[a], u[b]))
-                    ok &= np.abs(_pair(psi, e[k])) > tol
-                    ok &= np.abs(_pair(phi[k], u[a])) > tol
+    if size == 3:
+        for k in range(3):
+            i, j = [m for m in range(3) if m != k]
+            u = (e[i], _rows_unit(np.cross(phi[i], phi[j])), e[j])
+            for a in range(3):
+                for b in range(3):
+                    if a != b:
+                        psi = _rows_unit(np.cross(u[a], u[b]))
+                        ok &= np.abs(_pair(psi, e[k])) > tol
+                        ok &= np.abs(_pair(phi[k], u[a])) > tol
     return ok
 
 

@@ -337,10 +337,6 @@ class H3Embedding:
     def map_lift(self, lift) -> np.ndarray:
         return self.matrix @ np.asarray(lift, dtype=np.float64)
 
-    def map_point(self, p: RealBoundaryPoint) -> RealBoundaryPoint:
-        image = self.map_lift(p.lift())
-        return RealBoundaryPoint(image[:-1] / image[-1])
-
 
 def _canonical_positive_basis(pos_vectors, metric):
     """Deterministic q-orthonormal basis of the positive-definite subspace.

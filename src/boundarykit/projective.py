@@ -193,10 +193,6 @@ class MoebiusMap:
         """self after other (matrix product)."""
         return MoebiusMap(self.matrix @ other.matrix, self.field_tag)
 
-    def inverse(self) -> "MoebiusMap":
-        m = self.matrix
-        return MoebiusMap([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], self.field_tag)
-
     def __call__(self, x: ProjectivePoint) -> ProjectivePoint:
         return apply_moebius(self, x)
 

@@ -27,6 +27,7 @@ from .flags import Flag3
 from .hyperbolic import (ComplexBoundaryPoint, RealBoundaryPoint,
                          cartan_invariant_batch, complex_chordal_distance,
                          real_chordal_distance)
+from .projective import EPS_DIST
 from .sampling import rejection_loop
 from .version import __version__
 from .volume import circle_orientation
@@ -34,7 +35,7 @@ from .volume import circle_orientation
 ESCAPE_HI_DEFAULT = 1e3
 ESCAPE_LO_DEFAULT = 1e-3
 
-_MODELS = ("S1", "Sn", "complex_hyperbolic", "flags3")
+MODELS = ("S1", "Sn", "complex_hyperbolic", "flags3")
 
 
 @dataclass(frozen=True)
@@ -50,12 +51,12 @@ class SamplerConfig:
     tuple_size: int = 3
     count: int = 1000
     seed: int = 0
-    tolerance: float = 1e-9
+    tolerance: float = EPS_DIST
     dim: int = 2
 
     def __post_init__(self):
-        if self.model not in _MODELS:
-            raise ValueError(f"unknown model {self.model!r}; choose from {_MODELS}")
+        if self.model not in MODELS:
+            raise ValueError(f"unknown model {self.model!r}; choose from {MODELS}")
         if self.count < 1:
             raise ValueError("count must be at least 1")
         if self.tolerance <= 0:
@@ -125,20 +126,11 @@ def _batch_flags(rng, m: int, size: int):
     return lines, planes
 
 
-def _mask_flags_generic(lines, planes, size, tol):
-    if size == 3:
-        return flags_mod.batch_is_generic(lines, planes, tol)
-    ok = np.ones(lines.shape[0], dtype=bool)
-    ok &= np.abs(np.einsum("ni,ni->n", planes[:, 0], lines[:, 1])) > tol
-    ok &= np.abs(np.einsum("ni,ni->n", planes[:, 1], lines[:, 0])) > tol
-    return ok
-
-
-def _accepted_batches(config: SamplerConfig, budget_factor: int = 100):
+def _accepted_batches(config: SamplerConfig):
     """Draw candidate batches until `count` tuples are accepted.
 
     Returns (list_of_accepted_arrays, draws, accepted); raises
-    SamplerExhausted past budget_factor * count draws.
+    SamplerExhausted past sampling.DRAW_BUDGET * count draws.
     """
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     chunks = []
@@ -146,8 +138,7 @@ def _accepted_batches(config: SamplerConfig, budget_factor: int = 100):
     def draw(m):
         if config.model == "flags3":
             lines, planes = _batch_flags(rng, m, config.tuple_size)
-            mask = _mask_flags_generic(lines, planes, config.tuple_size,
-                                       config.tolerance)
+            mask = flags_mod.batch_is_generic(lines, planes, config.tolerance)
             chunks.append((lines[mask], planes[mask]))
             return int(mask.sum())
         if config.model == "complex_hyperbolic":
@@ -161,7 +152,7 @@ def _accepted_batches(config: SamplerConfig, budget_factor: int = 100):
         chunks.append(batch[mask])
         return int(mask.sum())
 
-    draws = rejection_loop(draw, config.count, budget_factor)
+    draws = rejection_loop(draw, config.count)
     return chunks, draws, config.count
 
 
@@ -306,22 +297,27 @@ def compactness_probe(model: str, invariant_name: str, config: SamplerConfig,
 
 def emit_report(envelope: ReportEnvelope, format: str, path) -> None:
     """Write the envelope as canonical JSON or flattened CSV."""
-    if format == "json":
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(envelope.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    elif format == "csv":
-        rows = envelope.results
-        if not rows:
-            raise ValueError("cannot emit CSV for an empty results list")
-        header = list(rows[0].keys())
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=header, lineterminator="\n")
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: _csv_cell(row[k]) for k in header})
-    else:
+    if format not in ("json", "csv"):
         raise ValueError(f"unknown report format {format!r}")
+    if format == "csv" and not envelope.results:
+        raise ValueError("cannot emit CSV for an empty results list")
+    # csv ends each line with "\n" itself; JSON gets the platform's newline
+    with open(path, "w", encoding="utf-8",
+              newline="" if format == "csv" else None) as fh:
+        _write_report(envelope, format, fh)
+
+
+def _write_report(envelope: ReportEnvelope, format: str, stream) -> None:
+    """Write the envelope to a text stream, for arguments emit_report accepts."""
+    if format == "json":
+        json.dump(envelope.to_dict(), stream, sort_keys=True, indent=2)
+        stream.write("\n")
+        return
+    header = list(envelope.results[0].keys())
+    writer = csv.DictWriter(stream, fieldnames=header, lineterminator="\n")
+    writer.writeheader()
+    for row in envelope.results:
+        writer.writerow({k: _csv_cell(row[k]) for k in header})
 
 
 def _csv_cell(value):

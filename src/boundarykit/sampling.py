@@ -1,10 +1,10 @@
 """Seeded samplers for boundary tuples, model points and test cochains.
 
 A tuple sampler is a callable `sampler(rng) -> tuple | None`; None marks a
-rejected (non-generic) draw.  `rejection_loop`, with the standard 100x
-budget, is the one rejection loop: `for_each_tuple` and `draw_tuples` run
-tuple samplers through it, as do `cochains.empirical_sup_defect` and the
-batch samplers in `reports`.  `task_seed` splits a master seed into
+rejected (non-generic) draw.  `rejection_loop`, allowed DRAW_BUDGET draws
+per tuple, is the one rejection loop: `for_each_tuple` and `draw_tuples`
+run tuple samplers through it, as do `cochains.empirical_sup_defect` and
+the batch samplers in `reports`.  `task_seed` splits a master seed into
 independent per-task seeds, counter-based, so tasks stay deterministic
 whatever order they run in.
 """
@@ -22,21 +22,23 @@ from .hyperbolic import (ComplexBoundaryPoint, HyperbolicPoint,
                          is_generic_tuple, lorentz_product)
 from .projective import EPS_DIST
 
+DRAW_BUDGET = 100  # draws allowed per requested tuple before SamplerExhausted
+
 
 def task_seed(master: int, index: int) -> int:
     """Counter-based substream seed for task `index` under a master seed."""
     return int(np.random.SeedSequence(master, spawn_key=(index,)).generate_state(1)[0])
 
 
-def rejection_loop(draw, n: int, budget_factor: int = 100) -> int:
+def rejection_loop(draw, n: int) -> int:
     """Call draw(m) until n candidates are accepted; return the draw count.
 
     `draw(m)` draws m candidates and returns how many it accepted.  m is
     at most the number still needed, so the loop stops at the n-th
-    acceptance, and at most the rest of the budget of budget_factor * n
+    acceptance, and at most the rest of the budget of DRAW_BUDGET * n
     draws; SamplerExhausted is raised once that budget is spent.
     """
-    budget = budget_factor * n
+    budget = DRAW_BUDGET * n
     draws = accepted = 0
     while accepted < n:
         m = min(n - accepted, budget - draws)
@@ -48,7 +50,7 @@ def rejection_loop(draw, n: int, budget_factor: int = 100) -> int:
     return draws
 
 
-def for_each_tuple(sampler, rng, n: int, visit, budget_factor: int = 100) -> int:
+def for_each_tuple(sampler, rng, n: int, visit) -> int:
     """Pass each of n accepted `sampler(rng)` tuples to `visit`; return draws."""
 
     def draw(m):
@@ -60,13 +62,13 @@ def for_each_tuple(sampler, rng, n: int, visit, budget_factor: int = 100) -> int
                 hits += 1
         return hits
 
-    return rejection_loop(draw, n, budget_factor)
+    return rejection_loop(draw, n)
 
 
-def draw_tuples(sampler, rng, n: int, budget_factor: int = 100) -> list:
+def draw_tuples(sampler, rng, n: int) -> list:
     """Collect n accepted tuples; raise SamplerExhausted past the budget."""
     out = []
-    for_each_tuple(sampler, rng, n, out.append, budget_factor)
+    for_each_tuple(sampler, rng, n, out.append)
     return out
 
 
@@ -140,7 +142,7 @@ def random_smooth_cochain(arity: int, rng, dim: int = 2) -> Cochain:
             total += c * float(anchor @ p.direction)
         return total
 
-    return Cochain(arity=arity, evaluator=ev, domain_tag=f"sphere({dim})")
+    return Cochain(arity=arity, evaluator=ev)
 
 
 def coordinate_cochain(index: int = 0) -> Cochain:
@@ -156,6 +158,7 @@ def random_mixed_cochain(model_arity: int, boundary_arity: int, rng,
     the model points and from model-boundary Lorentz pairings.  With
     `invariant=True` only isometry-invariant features (distances and pairing
     ratios) are used, so the cochain is invariant under the ambient group.
+    The features work in every dimension, so `dim` does not change the cochain.
     """
     mm_pairs = [(i, j) for i in range(model_arity) for j in range(i + 1, model_arity)]
     mm_w = rng.standard_normal(len(mm_pairs))
@@ -189,4 +192,4 @@ def random_mixed_cochain(model_arity: int, boundary_arity: int, rng,
     else:
         evaluator = lambda *boundary: ev((), boundary)
     return Cochain(arity=boundary_arity, evaluator=evaluator,
-                   model_arity=model_arity, domain_tag=f"hyperbolic({dim})")
+                   model_arity=model_arity)

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from boundarykit import (DegenerateArguments, GridConfig, MissingAlternation,
-                         ScalarFunction, UnboundedDefect,
+from boundarykit import (DegenerateArguments, EvaluationError, GridConfig,
+                         MissingAlternation, ScalarFunction, UnboundedDefect,
                          alternating_bump_function, certify_complex_region,
                          certify_interval, const_function, doubling_defect,
                          extend_by_symmetry, five_term_defect, pole_function,
@@ -207,6 +207,31 @@ def test_nan_on_the_compact_region_is_refused(certify, field, delta):
         extend_by_symmetry(cert, F, grid=FAST_GRID)
     x = refused_point(refusal, "|F| = nan at point ", " is not finite")
     assert abs(x) < 0.6
+
+
+@pytest.mark.parametrize("certify, field, delta", REGIONS)
+def test_an_evaluator_failure_is_refused_with_its_point(certify, field, delta):
+    F = ScalarFunction(lambda x: 1.0 / 0.0 if 0.99 < abs(x) < 1 else 1.0, field)
+    with pytest.raises(EvaluationError) as refusal:
+        certify(F, delta=delta, grid=FAST_GRID)
+    assert isinstance(refusal.value.__cause__, ZeroDivisionError)
+    message = str(refusal.value)
+    assert message.startswith("evaluator raised ZeroDivisionError at point ")
+    point = message.split(" at point ")[1]
+    scalar = float if field == "real" else complex
+    assert repr(scalar(point)) == point  # a plain repr, not a numpy scalar's
+    assert 0.99 < abs(scalar(point)) < 1
+
+
+@pytest.mark.parametrize("certify, field, delta", REGIONS)
+def test_an_evaluator_failure_on_the_compact_region_is_refused(certify, field, delta):
+    cert = certify(const_function(1.0, field), delta=delta, grid=FAST_GRID)
+    F = ScalarFunction(lambda x: [][0] if abs(x) < 0.6 else 1.0, field,
+                       from_alternating=True)
+    with pytest.raises(EvaluationError, match="raised IndexError at point") as refusal:
+        extend_by_symmetry(cert, F, grid=FAST_GRID)
+    assert isinstance(refusal.value.__cause__, IndexError)
+    assert abs(complex(str(refusal.value).split(" at point ")[1])) < 0.6
 
 
 @pytest.mark.parametrize("points", [0, -3])

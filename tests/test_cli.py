@@ -1,9 +1,12 @@
+import argparse
 import json
 
 import pytest
 
 from boundarykit import reports, sampling_stats
-from boundarykit.cli import main
+from boundarykit.certifier import DEFAULT_DELTA
+from boundarykit.cli import build_parser, main
+from boundarykit.projective import EPS_DIST
 
 COMMON = ["--seed", "11"]
 
@@ -180,3 +183,44 @@ def test_every_subcommand_is_byte_deterministic(tmp_path, argv):
     _, first = run_to_file(tmp_path, "first.out", argv + COMMON)
     _, second = run_to_file(tmp_path, "second.out", argv + COMMON)
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_stdout_report_matches_the_file_report(tmp_path, capsys, fmt):
+    argv = ["sample", "--model", "S1", "--count", "2", "--format", fmt] + COMMON
+    _, out = run_to_file(tmp_path, f"s.{fmt}", argv)
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_certify_bound_default_delta_is_the_library_default(tmp_path, field):
+    code, out = run_to_file(tmp_path, "c.json",
+                            ["certify-bound", "--function", "const", "--field", field,
+                             "--grid", "100"] + COMMON)
+    assert code == 0
+    assert json.loads(out.read_text())["config"]["delta"] == DEFAULT_DELTA[field]
+
+
+def verb_parser(verb):
+    """The argparse parser of one subcommand."""
+    actions = build_parser()._actions
+    return next(a for a in actions if isinstance(a, argparse._SubParsersAction)).choices[verb]
+
+
+def test_cli_defaults_and_choices_are_the_library_values():
+    for verb in ("sample", "invariant", "probe-config-space"):
+        parser = verb_parser(verb)
+        assert tuple(parser._option_string_actions["--model"].choices) == reports.MODELS
+        assert parser.get_default("tol") == EPS_DIST
+    probe = verb_parser("probe-config-space")
+    assert probe.get_default("escape_hi") == reports.ESCAPE_HI_DEFAULT
+    assert probe.get_default("escape_lo") == reports.ESCAPE_LO_DEFAULT
+    assert reports.SamplerConfig(model="S1").tolerance == EPS_DIST
+
+
+def test_certify_bound_takes_no_count():
+    with pytest.raises(SystemExit) as exc:
+        main(["certify-bound", "--count", "5"])
+    assert exc.value.code == 2

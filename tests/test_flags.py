@@ -221,6 +221,30 @@ def test_batch_matches_scalar():
             assert triple_ratio(*triple) == pytest.approx(ratios[k], rel=1e-10)
 
 
+def test_batch_mask_on_pairs_matches_is_opposite():
+    rng = np.random.default_rng(53)
+    n = 200
+    lines = np.empty((n, 2, 3))
+    planes = np.empty((n, 2, 3))
+    for i in range(2):
+        lines[:, i], planes[:, i] = batch_random_flags(rng, n)
+    # every fourth row pairs a flag with itself
+    lines[::4, 1], planes[::4, 1] = lines[::4, 0], planes[::4, 0]
+    mask = batch_is_generic(lines, planes)
+    for k in range(n):
+        pair = tuple(Flag3(lines[k, i], planes[k, i]) for i in range(2))
+        assert is_opposite(*pair) == bool(mask[k])
+    assert not mask[::4].any() and mask[1::4].all()
+
+
+def test_batch_mask_on_pairs_rejects_non_opposite_flags():
+    third = Flag3.from_basis(E2, E3)  # line inside the plane of F_12
+    pairs = [(F_12, F_12), (F_12, third), (F_12, F_32)]
+    lines = np.array([[f.line for f in pair] for pair in pairs])
+    planes = np.array([[f.plane for f in pair] for pair in pairs])
+    assert batch_is_generic(lines, planes).tolist() == [False, False, True]
+
+
 def test_batch_random_flags_are_valid():
     rng = np.random.default_rng(52)
     lines, planes = batch_random_flags(rng, 500)

@@ -1,7 +1,9 @@
 """Every module of the package uses each name it imports at top level, and
-every top-level function and class is used somewhere."""
+every top-level function and class, and every public method and property of
+a top-level class, is used somewhere."""
 
 import ast
+import collections
 import pathlib
 
 import pytest
@@ -38,18 +40,24 @@ def test_no_unused_top_level_import(path):
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
+def identifiers(node):
+    """Every name, attribute and imported name used under `node`."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+        elif isinstance(child, ast.alias):  # imports, re-exports included
+            yield child.name
+
+
 def uses(path):
     """(path, enclosing top-level definition or None, identifier) triples."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     for statement in tree.body:
         owner = statement.name if isinstance(statement, DEFINITIONS) else None
-        for node in ast.walk(statement):
-            if isinstance(node, ast.Name):
-                yield path, owner, node.id
-            elif isinstance(node, ast.Attribute):
-                yield path, owner, node.attr
-            elif isinstance(node, ast.alias):  # imports, re-exports included
-                yield path, owner, node.name
+        for name in identifiers(statement):
+            yield path, owner, name
 
 
 def test_every_top_level_definition_is_referenced():
@@ -65,4 +73,22 @@ def test_every_top_level_definition_is_referenced():
                 own_body = {(path, statement.name)}  # not a use of itself
                 if not references.get(statement.name, set()) - own_body:
                     unused.append(f"{path.stem}.{statement.name}")
+    assert unused == []
+
+
+def test_every_public_method_is_referenced():
+    files = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    references = collections.Counter(name for path in files for _, _, name in uses(path))
+    unused = []
+    for path in MODULES:
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if (not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        or method.name.startswith("_")):
+                    continue
+                own_body = collections.Counter(identifiers(method))[method.name]
+                if references[method.name] == own_body:
+                    unused.append(f"{path.stem}.{cls.name}.{method.name}")
     assert unused == []
