@@ -21,10 +21,11 @@ a global bound.
 
 `certify_interval` and `certify_complex_region` only build their region
 (grids, target-membership test, squaring cap); one core, `_certify`, runs
-the recursion on either.  Suprema are measured on grids and labeled
-`empirical`; callers may supply `analytic` values instead.  Target grids
-include a dyadic tail toward their open endpoint so divergent inputs are
-refused, naming the offending point, rather than certified.
+the recursion on either, over numpy blocks of BLOCK grid points.  Suprema
+are measured on grids and labeled `empirical`; callers may supply
+`analytic` values instead.  Target grids include a dyadic tail toward their
+open endpoint so divergent inputs are refused, naming the offending point,
+rather than certified.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ ARG_TOL = 1e-12            # distance to the excluded points 0, 1
 BLOWUP_THRESHOLD = 1e6     # defect level at which certification is refused
 DYADIC_DEPTH = 48          # halvings of delta in each target grid's tail
 DEFAULT_DELTA = {"real": 0.125, "complex": 0.1}
+BLOCK = 4096               # grid points per array evaluation of F
 
 
 @dataclass(frozen=True)
@@ -51,13 +53,18 @@ class ScalarFunction:
 
     `from_alternating` declares that the function is induced by an
     alternating invariant 4-point cochain, which licenses the symmetry
-    extension F(x) = -F(1/x) = -F(1-x).
+    extension F(x) = -F(1/x) = -F(1-x).  `batch`, if given, maps a 1-D
+    float64 or complex128 array of points to the float64 array of their
+    values; the certifier then evaluates each block of grid points with
+    one call, and falls back to `evaluator` point by point on a block
+    where `batch` raises.
     """
 
     evaluator: Callable[..., float]
     field_tag: str = "real"
     from_alternating: bool = False
     name: str = ""
+    batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, x) -> float:
         try:
@@ -112,11 +119,33 @@ class GridConfig:
             raise ValueError("points_per_region must be at least 1")
 
 
-def _check_away_from(value, excluded, tol=ARG_TOL):
-    for bad in excluded:
-        if abs(value - bad) <= tol:
-            raise DegenerateArguments(
-                f"argument {value!r} too close to excluded point {bad!r}")
+def _check_away_from(values, excluded, tol=ARG_TOL):
+    """Refuse the first of `values` (a scalar or 1-D array) near an excluded point."""
+    values = np.atleast_1d(values)
+    near = np.array([np.abs(values - bad) <= tol for bad in excluded])
+    if near.any():
+        i = int(np.argmax(near.any(axis=0)))
+        bad = excluded[int(np.argmax(near[:, i]))]
+        raise DegenerateArguments(
+            f"argument {values[i].item()!r} too close to excluded point {bad!r}")
+
+
+def _values(F: ScalarFunction, points: np.ndarray) -> np.ndarray:
+    """F at each of `points` (a 1-D array), as a float64 array.
+
+    Uses `F.batch` when it is set and returns one value per point;
+    otherwise, or where it raises, calls F on each point as a plain Python
+    scalar, so an EvaluationError names the point in its plain repr.
+    """
+    if F.batch is not None:
+        try:
+            values = np.asarray(F.batch(points), dtype=np.float64)
+        except Exception:
+            pass
+        else:
+            if values.shape == points.shape:
+                return values
+    return np.array([F(x) for x in points.tolist()], dtype=np.float64)
 
 
 def five_term_defect(F: ScalarFunction, x, y) -> float:
@@ -133,10 +162,17 @@ def five_term_defect(F: ScalarFunction, x, y) -> float:
             + F(x * (1 - y) / (y * (1 - x))))
 
 
+def _doubling_defects(F: ScalarFunction, x: np.ndarray) -> np.ndarray:
+    """The doubling defect at each of the points `x` (a 1-D array)."""
+    _check_away_from(x, (0.0, 1.0, -1.0))
+    return (2.0 * _values(F, x) - _values(F, x * x) - _values(F, 1.0 + x)
+            + _values(F, (1.0 + x) / x))
+
+
 def doubling_defect(F: ScalarFunction, x) -> float:
     """2F(x) - F(x^2) - F(1+x) + F((1+x)/x); equals five_term_defect(F, x, x^2)."""
-    _check_away_from(x, (0.0, 1.0, -1.0))
-    return 2.0 * F(x) - F(x * x) - F(1.0 + x) + F((1.0 + x) / x)
+    points = np.array([x], dtype=complex if isinstance(x, complex) else float)
+    return float(_doubling_defects(F, points)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -155,26 +191,49 @@ def _real_target_grid(delta: float, cfg: GridConfig) -> np.ndarray:
     return np.unique(np.concatenate([uniform, dyadic]))
 
 
-def _sup_abs(F: ScalarFunction, points) -> float:
+def _blocks(points: np.ndarray):
+    """Consecutive slices of at most BLOCK grid points, in grid order."""
+    return (points[i:i + BLOCK] for i in range(0, len(points), BLOCK))
+
+
+def _sup_abs(F: ScalarFunction, points: np.ndarray) -> float:
     """max |F| over `points`; refuses the first point where |F| is not finite."""
     sup = 0.0
-    for x in points:
-        value = abs(F(x))
-        if not math.isfinite(value):
-            raise UnboundedDefect(f"|F| = {value!r} at point {x!r} is not finite")
-        sup = max(sup, value)
+    for block in _blocks(points):
+        values = np.abs(_values(F, block))
+        bad = ~np.isfinite(values)
+        if bad.any():
+            i = int(np.argmax(bad))  # the first bad point in grid order
+            raise UnboundedDefect(f"|F| = {values[i].item()!r} at point "
+                                  f"{block[i].item()!r} is not finite")
+        sup = max(sup, float(values.max()))
     return sup
+
+
+def _squarings(points: np.ndarray, in_target, cap: int) -> int:
+    """Most squarings any of `points` needs to leave the target, at most `cap`."""
+    w = points[in_target(points)]
+    k = 0
+    while w.size:
+        k += 1
+        if k > cap:
+            raise IterationOverflow(f"squaring iteration exceeded cap {cap}")
+        w = w * w
+        w = w[in_target(w)]
+    return k
 
 
 def _certify(F: ScalarFunction, target, base, near2, in_target, cap: int,
              region: RegionSpec, overrides: Optional[dict]) -> BoundCertificate:
     """Run the doubling recursion on one region and assemble its certificate.
 
-    The grids yield Python scalars.  Squaring each `target` point until
-    `in_target` fails gives k_max (at most `cap` squarings).  B_defect is
-    the defect supremum over the same points, M_base and M_near2 the suprema
-    of |F| over the `base` and `near2` grids; a NaN is refused as a blow-up.
-    Each is replaced by its `overrides` value, if given, labeled `analytic`.
+    The grids are 1-D arrays, walked in blocks of BLOCK points.  Squaring
+    each `target` point until the array test `in_target` fails gives k_max
+    (at most `cap` squarings; a block is counted before F is evaluated on
+    it).  B_defect is the defect supremum over the same points, M_base and
+    M_near2 the suprema of |F| over the `base` and `near2` grids; the first
+    blow-up in grid order, NaN included, is refused.  Each is replaced by
+    its `overrides` value, if given, labeled `analytic`.
     """
     overrides = {key: float(value) for key, value in (overrides or {}).items()}
     unknown = set(overrides) - {"B_defect", "M_base", "M_near2"}
@@ -182,22 +241,18 @@ def _certify(F: ScalarFunction, target, base, near2, in_target, cap: int,
         raise ValueError(f"unknown override keys: {sorted(unknown)}")
     k_max = 0
     worst = 0.0
-    for x in target:
-        k, w = 0, x
-        while in_target(w):
-            w = w * w
-            k += 1
-            if k > cap:
-                raise IterationOverflow(f"squaring iteration exceeded cap {cap}")
-        k_max = max(k_max, k)
+    for block in _blocks(target):
+        k_max = max(k_max, _squarings(block, in_target, cap))
         if "B_defect" not in overrides:
-            d = abs(doubling_defect(F, x))
-            if not d <= BLOWUP_THRESHOLD:  # NaN fails this test too
-                relation = "exceeds" if d > BLOWUP_THRESHOLD else "is not below"
+            d = np.abs(_doubling_defects(F, block))
+            bad = ~(d <= BLOWUP_THRESHOLD)  # NaN fails this test too
+            if bad.any():
+                i = int(np.argmax(bad))  # the first bad point in grid order
+                relation = "exceeds" if d[i] > BLOWUP_THRESHOLD else "is not below"
                 raise UnboundedDefect(
-                    f"doubling defect {d:.3e} at point {x!r} {relation} threshold "
-                    f"{BLOWUP_THRESHOLD:.1e}")
-            worst = max(worst, d)
+                    f"doubling defect {d[i]:.3e} at point {block[i].item()!r} "
+                    f"{relation} threshold {BLOWUP_THRESHOLD:.1e}")
+            worst = max(worst, float(d.max()))
     inputs = {"B_defect": worst}
     for key, points in (("M_base", base), ("M_near2", near2)):
         inputs[key] = overrides[key] if key in overrides else _sup_abs(F, points)
@@ -235,10 +290,8 @@ def certify_interval(F: ScalarFunction, delta: float = DEFAULT_DELTA["real"],
                         target=f"[{1 - delta}, 1)",
                         base=f"[{base_lo}, {1 - delta}]",
                         near2=f"[{2 - delta}, {near2_hi}]")
-    # plain floats for a refusal's repr; map() avoids a list of the whole grid
-    return _certify(F, map(float, _real_target_grid(delta, cfg)),
-                    map(float, np.linspace(base_lo, edge, n)),
-                    map(float, np.linspace(2.0 - delta, near2_hi, n)),
+    return _certify(F, _real_target_grid(delta, cfg), np.linspace(base_lo, edge, n),
+                    np.linspace(2.0 - delta, near2_hi, n),
                     lambda x: x > edge, cap, region, overrides)
 
 
@@ -246,15 +299,14 @@ def certify_interval(F: ScalarFunction, delta: float = DEFAULT_DELTA["real"],
 # complex sector at 1
 
 
-def _in_sector(z: complex, delta: float) -> bool:
-    """Membership in U = {z != 1 : 1-delta < |z| <= 1, |arg z| < delta}."""
-    if z == 1.0:
-        return False
-    r = abs(z)
-    return (1.0 - delta < r <= 1.0 + 1e-12) and abs(cmath.phase(z)) < delta
+def _in_sector(z, delta: float):
+    """Membership in U = {z != 1 : 1-delta < |z| <= 1, |arg z| < delta}, elementwise."""
+    r = np.hypot(z.real, z.imag)  # equals abs(complex) bit for bit; np.abs does not
+    return ((z != 1.0) & (1.0 - delta < r) & (r <= 1.0 + 1e-12)
+            & (np.abs(np.angle(z)) < delta))
 
 
-def _sector_grid(delta: float, cfg: GridConfig) -> list:
+def _sector_grid(delta: float, cfg: GridConfig) -> np.ndarray:
     """Grid on U: uniform polar plus dyadic tails toward z = 1."""
     m = max(2, math.isqrt(cfg.points_per_region))
     m += m % 2  # even angular count keeps arg = 0 off the uniform grid
@@ -267,10 +319,10 @@ def _sector_grid(delta: float, cfg: GridConfig) -> list:
         points.append(cmath.rect(1.0, eps))       # unit modulus, small arg
         points.append(cmath.rect(1.0, -eps))
         points.append(complex(1.0 - eps, 0.0))    # real approach to 1
-    return points
+    return np.array(points)
 
 
-def _base_sector_grids(delta: float, cfg: GridConfig) -> list:
+def _base_sector_grids(delta: float, cfg: GridConfig) -> np.ndarray:
     """Closure of {(1-delta)^2 < |w| <= 1, |arg w| < 2 delta} minus U."""
     m = max(2, math.isqrt(cfg.points_per_region // 2))
     inner_moduli = np.linspace((1.0 - delta) ** 2, 1.0 - delta, m)
@@ -280,7 +332,7 @@ def _base_sector_grids(delta: float, cfg: GridConfig) -> list:
     side_args = np.concatenate([np.linspace(-2.0 * delta, -delta, m // 2),
                                 np.linspace(delta, 2.0 * delta, m // 2)])
     points += [cmath.rect(r, t) for r in outer_moduli for t in side_args]
-    return points
+    return np.array(points)
 
 
 def _near2_radius(delta: float) -> float:
@@ -289,7 +341,7 @@ def _near2_radius(delta: float) -> float:
     return abs(corner) / (1.0 - delta)
 
 
-def _near2_disk_grid(delta: float, cfg: GridConfig) -> list:
+def _near2_disk_grid(delta: float, cfg: GridConfig) -> np.ndarray:
     """Polar grid on the disk around 2 where 1+z and (1+z)/z land for z in U."""
     radius = _near2_radius(delta)
     m = max(2, math.isqrt(cfg.points_per_region))
@@ -297,7 +349,7 @@ def _near2_disk_grid(delta: float, cfg: GridConfig) -> list:
     for r in np.linspace(radius / m, radius, m):
         for t in np.linspace(0.0, 2.0 * math.pi, m, endpoint=False):
             points.append(2.0 + cmath.rect(r, t))
-    return points
+    return np.array(points)
 
 
 def certify_complex_region(F: ScalarFunction, delta: float = DEFAULT_DELTA["complex"],
@@ -355,7 +407,7 @@ def extend_by_symmetry(cert_near_1: BoundCertificate, F: ScalarFunction,
         pieces = [np.linspace(-1.0 / delta, -delta, n),
                   np.linspace(delta, 1.0 - delta, n),
                   np.linspace(1.0 / (1.0 - delta), 1.0 / delta, n)]
-        compact_sup = max(_sup_abs(F, map(float, piece)) for piece in pieces)
+        compact_sup = max(_sup_abs(F, piece) for piece in pieces)
         kind, target = "real_global", "R minus {0, 1}"
     else:
         rho = delta / 2.0
@@ -366,7 +418,7 @@ def extend_by_symmetry(cert_near_1: BoundCertificate, F: ScalarFunction,
                 z = cmath.rect(r, t)
                 if abs(z - 1.0) >= rho:
                     points.append(z)
-        compact_sup = _sup_abs(F, points)
+        compact_sup = _sup_abs(F, np.array(points))
         kind, target = "complex_global", "C minus {0, 1}"
 
     inputs = dict(cert_near_1.inputs)
@@ -389,7 +441,8 @@ def extend_by_symmetry(cert_near_1: BoundCertificate, F: ScalarFunction,
 
 def const_function(c: float = 1.0, field_tag: str = "real") -> ScalarFunction:
     return ScalarFunction(evaluator=lambda x: c, field_tag=field_tag,
-                          from_alternating=False, name=f"const({c})")
+                          from_alternating=False, name=f"const({c})",
+                          batch=lambda x: np.full(x.shape, float(c)))
 
 
 def pole_function(field_tag: str = "real") -> ScalarFunction:
@@ -398,14 +451,16 @@ def pole_function(field_tag: str = "real") -> ScalarFunction:
     def ev(x):
         return complex(1.0 / (1.0 - x)).real
 
-    return ScalarFunction(evaluator=ev, field_tag=field_tag, name="pole")
+    return ScalarFunction(evaluator=ev, field_tag=field_tag, name="pole",
+                          batch=lambda x: np.real(1.0 / (1.0 - x)))
 
 
 def vol3_slice() -> ScalarFunction:
     """F(z) = Vol_3(inf, 0, 1, z): a bounded cocycle slice on C minus {0,1}."""
-    from .volume import vol3_from_cross_ratio
+    from .volume import vol3_from_cross_ratio, vol3_from_cross_ratio_batch
     return ScalarFunction(evaluator=vol3_from_cross_ratio, field_tag="complex",
-                          from_alternating=True, name="vol3-slice")
+                          from_alternating=True, name="vol3-slice",
+                          batch=vol3_from_cross_ratio_batch)
 
 
 def alternating_bump_function(center: float = 0.3) -> ScalarFunction:
@@ -416,13 +471,17 @@ def alternating_bump_function(center: float = 0.3) -> ScalarFunction:
     permutation, so F(x) = -F(1/x) = -F(1-x) holds identically.
     """
 
-    def bump(t: float) -> float:
-        return 1.0 / (1.0 + (t - center) ** 2)
+    def bump(t):
+        d = t - center
+        # ** on a float calls the C library's pow, and so does np.float_power
+        # on an array; ** on an array squares, which can round differently
+        square = np.float_power(d, 2.0) if isinstance(d, np.ndarray) else d ** 2
+        return 1.0 / (1.0 + square)
 
-    def ev(x: float) -> float:
+    def ev(x):  # a float, or a float64 array elementwise
         return (bump(x) - bump(1.0 / x) - bump(1.0 - x)
                 + bump(1.0 / (1.0 - x)) + bump((x - 1.0) / x)
                 - bump(x / (x - 1.0)))
 
     return ScalarFunction(evaluator=ev, field_tag="real",
-                          from_alternating=True, name="bump")
+                          from_alternating=True, name="bump", batch=ev)

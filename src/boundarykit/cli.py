@@ -57,8 +57,15 @@ def _resolve_seed(args) -> int:
 def _write(envelope: ReportEnvelope, args) -> None:
     if args.out:
         emit_report(envelope, args.format, args.out)
-    else:
+        return
+    try:
         _write_report(envelope, args.format, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early (`| head`); as the Python docs
+        # advise, point stdout at devnull so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 def _config_from_args(args, seed: int) -> SamplerConfig:

@@ -310,7 +310,8 @@ def emit_report(envelope: ReportEnvelope, format: str, path) -> None:
 def _write_report(envelope: ReportEnvelope, format: str, stream) -> None:
     """Write the envelope to a text stream, for arguments emit_report accepts."""
     if format == "json":
-        json.dump(envelope.to_dict(), stream, sort_keys=True, indent=2)
+        # NaN and infinities are not JSON; refuse them instead of writing them
+        json.dump(envelope.to_dict(), stream, sort_keys=True, indent=2, allow_nan=False)
         stream.write("\n")
         return
     header = list(envelope.results[0].keys())

@@ -13,7 +13,8 @@ Two evaluation routes for the Lobachevsky function are provided: the
 truncated Fourier series with an explicit tail bound (LobachevskyEvaluator)
 and a fast zeta-accelerated expansion (`lobachevsky`) exact to machine
 precision, which the volume functions use.  The two are cross-checked in
-the test suite.
+the test suite.  `lobachevsky_batch` and `vol3_from_cross_ratio_batch` run
+the same expansion over arrays, for callers that evaluate whole grids.
 """
 
 from __future__ import annotations
@@ -53,6 +54,25 @@ def lobachevsky(theta: float) -> float:
     r = (x / math.pi) ** 2
     powers = r ** np.arange(1, 44)
     return x - x * math.log(abs(2.0 * x)) + x * float(_COEFF @ powers)
+
+
+def lobachevsky_batch(theta: np.ndarray) -> np.ndarray:
+    """`lobachevsky` over an array of angles with |theta| <= pi.
+
+    The reduction to |x| <= pi/2 is an exact shift by +-pi (Sterbenz), and
+    the series is summed by Horner's rule, so no power matrix is built.
+    """
+    x = np.asarray(theta, dtype=np.float64)
+    if np.any(np.abs(x) > math.pi):
+        raise ValueError("lobachevsky_batch needs |theta| <= pi")
+    x = np.where(x > math.pi / 2, x - math.pi, np.where(x < -math.pi / 2, x + math.pi, x))
+    r = (x / math.pi) ** 2
+    series = np.zeros_like(r)
+    for c in _COEFF[::-1]:
+        series = (series + c) * r
+    # L(0) = 0: every term carries a factor x, so log(2) stands in for log(0)
+    safe = np.where(x == 0.0, 1.0, x)
+    return x - x * np.log(np.abs(2.0 * safe)) + x * series
 
 
 class LobachevskyEvaluator:
@@ -108,6 +128,20 @@ def vol3_from_cross_ratio(z) -> float:
     return (lobachevsky(cmath.phase(z))
             + lobachevsky(cmath.phase(1.0 / (1.0 - z)))
             + lobachevsky(cmath.phase(1.0 - 1.0 / z)))
+
+
+def vol3_from_cross_ratio_batch(z: np.ndarray) -> np.ndarray:
+    """`vol3_from_cross_ratio` over an array of finite cross ratios."""
+    z = np.asarray(z, dtype=np.complex128)
+    if not np.all(np.isfinite(z) & (z != 0) & (z != 1)):
+        raise DegenerateTuple("cross ratio degenerated to 0, 1 or infinity")
+    volume = np.zeros(z.shape)
+    nonreal = z.imag != 0.0
+    w = z[nonreal]
+    volume[nonreal] = (lobachevsky_batch(np.angle(w))
+                       + lobachevsky_batch(np.angle(1.0 / (1.0 - w)))
+                       + lobachevsky_batch(np.angle(1.0 - 1.0 / w)))
+    return volume
 
 
 def vol3(x0, x1, x2, x3, tol: float = EPS_DIST) -> float:

@@ -1,16 +1,18 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from boundarykit import (DegenerateArguments, EvaluationError, GridConfig,
-                         MissingAlternation, ScalarFunction, UnboundedDefect,
-                         alternating_bump_function, certify_complex_region,
-                         certify_interval, const_function, doubling_defect,
-                         extend_by_symmetry, five_term_defect, pole_function,
-                         vol3_slice)
-from boundarykit.certifier import BoundCertificate, RegionSpec
+                         IterationOverflow, MissingAlternation, ScalarFunction,
+                         UnboundedDefect, alternating_bump_function,
+                         certify_complex_region, certify_interval, const_function,
+                         doubling_defect, extend_by_symmetry, five_term_defect,
+                         pole_function, vol3_slice)
+from boundarykit.certifier import (BoundCertificate, RegionSpec, _in_sector,
+                                   _real_target_grid, _sector_grid, _squarings)
 
 FAST_GRID = GridConfig(points_per_region=2000)
 
@@ -319,7 +321,6 @@ def test_complex_real_points_iterate_like_the_interval():
         return k
 
     k_real = count_real(x)
-    from boundarykit.certifier import _in_sector
     z, k = complex(x, 0.0), 0
     while _in_sector(z, delta):
         z = z * z
@@ -330,7 +331,6 @@ def test_complex_real_points_iterate_like_the_interval():
 def test_complex_explicit_doubling_count():
     # oracle: minimal k with 2^k arg >= delta or modulus^(2^k) <= 1 - delta
     delta = 0.1
-    from boundarykit.certifier import _in_sector
 
     def explicit_count(r, t):
         k = 0
@@ -394,3 +394,129 @@ def test_complex_extension_global_bound():
             continue
         assert abs(F(z)) <= glob.certified_bound + 1e-9
     assert glob.region.kind == "complex_global"
+
+
+# ---------------------------------------------------------------------------
+# block evaluation
+
+
+def without_batch(F):
+    return dataclasses.replace(F, batch=None)
+
+
+@pytest.mark.parametrize("F, certify, delta, tol", [
+    pytest.param(alternating_bump_function(), certify_interval, 0.125, 0.0, id="bump"),
+    pytest.param(vol3_slice(), certify_complex_region, 0.1, 1e-14, id="vol3-slice"),
+])
+def test_batch_certificate_matches_the_point_by_point_one(F, certify, delta, tol):
+    batch = certify(F, delta=delta, grid=FAST_GRID)
+    scalar = certify(without_batch(F), delta=delta, grid=FAST_GRID)
+    assert batch.k_max == scalar.k_max
+    assert batch.inputs.keys() == scalar.inputs.keys()
+    for key in scalar.inputs:  # tol 0.0: bit for bit
+        assert abs(batch.inputs[key] - scalar.inputs[key]) <= tol
+    glob = extend_by_symmetry(batch, F, grid=FAST_GRID)
+    glob_scalar = extend_by_symmetry(scalar, without_batch(F), grid=FAST_GRID)
+    assert abs(glob.inputs["compact_sup"] - glob_scalar.inputs["compact_sup"]) <= tol
+
+
+def scalar_path_unused(x):
+    pytest.fail(f"the evaluator ran at {x!r} although the batch succeeded")
+
+
+@pytest.mark.parametrize("certify, field, delta", REGIONS)
+def test_a_batch_nan_on_the_target_is_refused_at_its_first_point(certify, field, delta):
+    def nan_part(x):
+        return (0.99 < np.abs(x)) & (np.abs(x) < 1)
+
+    F = ScalarFunction(scalar_path_unused, field,
+                       batch=lambda x: np.where(nan_part(x), np.nan, 1.0))
+    with pytest.raises(UnboundedDefect) as refusal:
+        certify(F, delta=delta, grid=FAST_GRID)
+    x = refused_point(refusal, "doubling defect nan at point ", " is not below")
+    grid = _real_target_grid(delta, FAST_GRID) if field == "real" else _sector_grid(
+        delta, FAST_GRID)
+    assert x == grid[nan_part(grid)][0]  # the first such point in grid order
+
+
+def test_bump_batch_equals_its_evaluator_bit_for_bit():
+    F = alternating_bump_function()
+    rng = np.random.default_rng(96)
+    x = np.concatenate([rng.uniform(-10.0, 10.0, 50_000), rng.uniform(0.5, 1.0, 50_000),
+                        rng.uniform(1.0, 2.6, 50_000)])
+    assert F.batch(x).tolist() == [F(v) for v in x.tolist()]
+
+
+@pytest.mark.parametrize("certify, field, delta", REGIONS)
+def test_a_raising_batch_is_refused_at_the_failing_point(certify, field, delta):
+    def batch(x):
+        raise RuntimeError("the array path failed")
+
+    F = ScalarFunction(lambda x: 1.0 / 0.0 if 0.99 < abs(x) < 1 else 1.0, field,
+                       batch=batch)
+    with pytest.raises(EvaluationError) as refusal:
+        certify(F, delta=delta, grid=FAST_GRID)
+    assert isinstance(refusal.value.__cause__, ZeroDivisionError)
+    point = str(refusal.value).split(" at point ")[1]
+    scalar = float if field == "real" else complex
+    assert repr(scalar(point)) == point  # a plain repr, not a numpy scalar's
+    assert 0.99 < abs(scalar(point)) < 1
+
+
+def test_sector_membership_on_its_boundary():
+    delta = 0.1
+    r = 1.0 - delta / 2.0
+    cases = {
+        complex(1.0, 0.0): False,                           # z = 1 is excluded
+        cmath.rect(1.0, 0.5 * delta): True,                 # |z| = 1 is included
+        cmath.rect(1.0, -0.5 * delta): True,
+        complex(1.0 + 1e-12, 0.0): True,                    # the outer slack
+        complex(math.nextafter(1.0 + 1e-12, 2.0), 0.0): False,
+        complex(1.0 - delta, 0.0): False,                   # |z| = 1 - delta is excluded
+        complex(math.nextafter(1.0 - delta, 1.0), 0.0): True,
+        cmath.rect(r, delta * (1.0 - 1e-12)): True,         # arg z = +-delta is excluded
+        cmath.rect(r, -delta * (1.0 - 1e-12)): True,
+        cmath.rect(r, delta * (1.0 + 1e-12)): False,
+        cmath.rect(r, -delta * (1.0 + 1e-12)): False,
+    }
+    points = np.array(list(cases))
+    assert _in_sector(points, delta).tolist() == list(cases.values())
+    assert [bool(_in_sector(z, delta)) for z in cases] == list(cases.values())
+
+
+def test_sector_membership_agrees_with_python_scalars():
+    delta = 0.1
+    rng = np.random.default_rng(95)
+    z = (1.0 + 2.0 * delta * (rng.random(20_000) - 0.5)) * np.exp(
+        3j * delta * (rng.random(20_000) - 0.5))
+
+    def definition(w):
+        return w != 1 and 1.0 - delta < abs(w) <= 1.0 + 1e-12 and abs(cmath.phase(w)) < delta
+
+    assert _in_sector(z, delta).tolist() == [definition(w) for w in z.tolist()]
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_squaring_count_and_its_cap(field):
+    delta = 0.1
+    if field == "real":
+        points = _real_target_grid(delta, FAST_GRID)
+
+        def inside(w):
+            return w > 1.0 - delta
+    else:
+        points = _sector_grid(delta, FAST_GRID)
+
+        def inside(w):
+            return _in_sector(w, delta)
+
+    def count(w):  # one point at a time, in Python scalars
+        k = 0
+        while inside(w):
+            w, k = w * w, k + 1
+        return k
+
+    k_max = max(count(w) for w in points.tolist())
+    assert _squarings(points, inside, cap=k_max) == k_max
+    with pytest.raises(IterationOverflow, match=f"exceeded cap {k_max - 1}"):
+        _squarings(points, inside, cap=k_max - 1)

@@ -1,8 +1,13 @@
 import argparse
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import boundarykit
 from boundarykit import reports, sampling_stats
 from boundarykit.certifier import DEFAULT_DELTA
 from boundarykit.cli import build_parser, main
@@ -224,3 +229,20 @@ def test_certify_bound_takes_no_count():
     with pytest.raises(SystemExit) as exc:
         main(["certify-bound", "--count", "5"])
     assert exc.value.code == 2
+
+
+def test_a_closed_stdout_pipe_ends_without_a_traceback():
+    # the report (about 0.5 MB) outgrows the pipe buffer, so the CLI is still
+    # writing when the reader closes its end, as `| head -1` does
+    src = str(pathlib.Path(boundarykit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "boundarykit.cli", "sample", "--model", "S1",
+         "--count", "2000", "--seed", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert stderr == ""

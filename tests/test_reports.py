@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -7,7 +8,7 @@ import pytest
 from boundarykit import (SamplerConfig, UnknownInvariant, compactness_probe,
                          emit_report, invariant_values, read_report_csv,
                          read_report_json, sample_tuples, sampling_stats)
-from boundarykit.reports import ReportEnvelope
+from boundarykit.reports import ReportEnvelope, _write_report
 
 
 def test_config_validation():
@@ -146,3 +147,13 @@ def test_csv_requires_rows(tmp_path):
         emit_report(env, "csv", tmp_path / "empty.csv")
     with pytest.raises(ValueError):
         emit_report(env, "yaml", tmp_path / "bad.yaml")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_refuses_non_finite_numbers(tmp_path, value):
+    env = ReportEnvelope(command="x", seed=0, config={}, results=[{"value": 1.0}],
+                         summary={"sup_abs": value})
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _write_report(env, "json", io.StringIO())
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        emit_report(env, "json", tmp_path / "report.json")

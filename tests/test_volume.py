@@ -9,6 +9,7 @@ from boundarykit import (MAX_VOL3, DegenerateTuple, LobachevskyEvaluator,
                          apply_moebius, lobachevsky, vol2, vol3,
                          vol3_from_cross_ratio)
 from boundarykit.sampling import chart_tuple_sampler, draw_tuples
+from boundarykit.volume import lobachevsky_batch, vol3_from_cross_ratio_batch
 
 LOB_PI_6 = 0.5074708032048268  # frozen from the N = 10^6 truncated series
 
@@ -160,3 +161,51 @@ def test_vol3_maximality():
         assert v <= MAX_VOL3 + 1e-9
         best = max(best, v)
     assert best >= MAX_VOL3 - 0.05  # maximum approached near z = e^{+-i pi/3}
+
+
+# ---------------------------------------------------------------------------
+# array kernels
+
+
+def test_lobachevsky_batch_matches_the_clausen_oracle():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(71)
+    theta = np.concatenate([[0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi],
+                            rng.uniform(-math.pi, math.pi, 1995)])
+    with mpmath.workdps(20):  # L(t) = Cl_2(2t)/2 at the float t, with guard digits
+        oracle = np.array([float(mpmath.clsin(2, 2 * mpmath.mpf(t)) / 2) for t in theta])
+    assert np.max(np.abs(lobachevsky_batch(theta) - oracle)) <= 1e-14
+
+
+def test_lobachevsky_batch_refuses_angles_beyond_pi():
+    with pytest.raises(ValueError, match="pi"):
+        lobachevsky_batch(np.array([0.5, math.nextafter(math.pi, 4.0)]))
+
+
+def test_vol3_batch_matches_the_scalar_route():
+    rng = np.random.default_rng(72)
+    n = 5000
+    general = 2.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    # imaginary parts from 1e-3 down to 1e-300, of either sign
+    near_real = 3.0 * rng.standard_normal(n) + 1j * (
+        rng.choice([-1.0, 1.0], n) * 10.0 ** -rng.uniform(3, 300, n))
+    near_0_and_1 = (rng.choice([0.0, 1.0], n)
+                    + 1e-6 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+    real = 5.0 * rng.standard_normal(n)
+    z = np.concatenate([general, near_real, near_0_and_1, real])
+    scalar = np.array([vol3_from_cross_ratio(w) for w in z.tolist()])
+    batch = vol3_from_cross_ratio_batch(z)
+    assert np.max(np.abs(batch - scalar)) <= 4e-15
+    assert np.all(batch[-n:] == 0.0)  # real cross ratios span flat simplices
+
+
+def test_vol3_batch_at_the_regular_tetrahedron():
+    z = np.array([cmath.exp(1j * math.pi / 3), cmath.exp(-1j * math.pi / 3)])
+    # the phases of e^{i pi/3}, 1/(1-z) and 1-1/z round to within an ulp of pi/3
+    assert vol3_from_cross_ratio_batch(z) == pytest.approx([MAX_VOL3, -MAX_VOL3], abs=1e-15)
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0, complex(math.inf, 0.0), complex(math.nan, 1.0)])
+def test_vol3_batch_rejects_degenerate_cross_ratios(bad):
+    with pytest.raises(DegenerateTuple):
+        vol3_from_cross_ratio_batch(np.array([0.5 + 0.5j, bad]))
