@@ -8,7 +8,7 @@ from .errors import (ArityTooLarge, BoundaryKitError, DegenerateArguments,
                      DegenerateTuple, EvaluationError, IterationOverflow,
                      MissingAlternation, MixedModels, NotGeneric, NotOpposite,
                      SamplerExhausted, SignatureError, SingularMatrix,
-                     UnboundedDefect, UnknownInvariant)
+                     UnboundedDefect, UnencodableReport, UnknownInvariant)
 from .projective import (INFINITY, MoebiusMap, ProjectivePoint, apply_moebius,
                          cross_ratio, is_infinite, normalize_to_standard)
 from .hyperbolic import (ComplexBoundaryPoint, H3Embedding, HyperbolicPoint,
@@ -29,7 +29,7 @@ from .certifier import (BoundCertificate, GridConfig, RegionSpec, ScalarFunction
                         certify_interval, const_function, doubling_defect,
                         extend_by_symmetry, five_term_defect, pole_function,
                         vol3_slice)
-from .reports import (ReportEnvelope, SamplerConfig, compactness_probe,
+from .reports import (ReportEnvelope, ResultColumns, SamplerConfig, compactness_probe,
                       emit_report, invariant_values, read_report_csv,
                       read_report_json, sample_tuples, sampling_stats)
 

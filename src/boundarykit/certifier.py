@@ -306,20 +306,31 @@ def _in_sector(z, delta: float):
             & (np.abs(np.angle(z)) < delta))
 
 
+def _polar_grid(moduli, angles) -> np.ndarray:
+    """cmath.rect(r, t) for r in moduli for t in angles, bit for bit, as a 1-D array."""
+    moduli = np.asarray(moduli, dtype=np.float64)[:, None]
+    points = np.empty((moduli.shape[0], len(angles)), dtype=np.complex128)
+    # cmath.rect is (r cos t, r sin t) with the C library's cos and sin;
+    # setting the parts one by one keeps signed zeros that complex
+    # arithmetic such as r*c + 1j*(r*s) would change
+    points.real = moduli * np.array([math.cos(t) for t in angles])
+    points.imag = moduli * np.array([math.sin(t) for t in angles])
+    return points.ravel()
+
+
 def _sector_grid(delta: float, cfg: GridConfig) -> np.ndarray:
     """Grid on U: uniform polar plus dyadic tails toward z = 1."""
     m = max(2, math.isqrt(cfg.points_per_region))
     m += m % 2  # even angular count keeps arg = 0 off the uniform grid
     moduli = 1.0 - delta + delta * np.arange(1, m + 1) / m
     args = -delta + 2.0 * delta * (np.arange(m) + 0.5) / m
-    points = [complex(r * math.cos(t), r * math.sin(t))
-              for r in moduli for t in args]
+    tails = []
     for j in range(1, _effective_depth(delta) + 1):
         eps = delta * 0.5 ** j
-        points.append(cmath.rect(1.0, eps))       # unit modulus, small arg
-        points.append(cmath.rect(1.0, -eps))
-        points.append(complex(1.0 - eps, 0.0))    # real approach to 1
-    return np.array(points)
+        tails.append(cmath.rect(1.0, eps))       # unit modulus, small arg
+        tails.append(cmath.rect(1.0, -eps))
+        tails.append(complex(1.0 - eps, 0.0))    # real approach to 1
+    return np.concatenate([_polar_grid(moduli, args), np.array(tails)])
 
 
 def _base_sector_grids(delta: float, cfg: GridConfig) -> np.ndarray:
@@ -327,12 +338,11 @@ def _base_sector_grids(delta: float, cfg: GridConfig) -> np.ndarray:
     m = max(2, math.isqrt(cfg.points_per_region // 2))
     inner_moduli = np.linspace((1.0 - delta) ** 2, 1.0 - delta, m)
     wide_args = np.linspace(-2.0 * delta, 2.0 * delta, m)
-    points = [cmath.rect(r, t) for r in inner_moduli for t in wide_args]
     outer_moduli = np.linspace(1.0 - delta + delta / m, 1.0, m)
     side_args = np.concatenate([np.linspace(-2.0 * delta, -delta, m // 2),
                                 np.linspace(delta, 2.0 * delta, m // 2)])
-    points += [cmath.rect(r, t) for r in outer_moduli for t in side_args]
-    return np.array(points)
+    return np.concatenate([_polar_grid(inner_moduli, wide_args),
+                           _polar_grid(outer_moduli, side_args)])
 
 
 def _near2_radius(delta: float) -> float:
@@ -345,11 +355,9 @@ def _near2_disk_grid(delta: float, cfg: GridConfig) -> np.ndarray:
     """Polar grid on the disk around 2 where 1+z and (1+z)/z land for z in U."""
     radius = _near2_radius(delta)
     m = max(2, math.isqrt(cfg.points_per_region))
-    points = [complex(2.0, 0.0)]
-    for r in np.linspace(radius / m, radius, m):
-        for t in np.linspace(0.0, 2.0 * math.pi, m, endpoint=False):
-            points.append(2.0 + cmath.rect(r, t))
-    return np.array(points)
+    circle = _polar_grid(np.linspace(radius / m, radius, m),
+                         np.linspace(0.0, 2.0 * math.pi, m, endpoint=False))
+    return np.concatenate([[2.0 + 0j], 2.0 + circle])
 
 
 def certify_complex_region(F: ScalarFunction, delta: float = DEFAULT_DELTA["complex"],
@@ -412,13 +420,10 @@ def extend_by_symmetry(cert_near_1: BoundCertificate, F: ScalarFunction,
     else:
         rho = delta / 2.0
         m = max(2, math.isqrt(n))
-        points = []
-        for r in np.linspace(rho, 2.0 / delta, m):
-            for t in np.linspace(0.0, 2.0 * math.pi, m, endpoint=False):
-                z = cmath.rect(r, t)
-                if abs(z - 1.0) >= rho:
-                    points.append(z)
-        compact_sup = _sup_abs(F, np.array(points))
+        points = _polar_grid(np.linspace(rho, 2.0 / delta, m),
+                             np.linspace(0.0, 2.0 * math.pi, m, endpoint=False))
+        # np.hypot is abs(complex) bit for bit
+        compact_sup = _sup_abs(F, points[np.hypot(points.real - 1.0, points.imag) >= rho])
         kind, target = "complex_global", "C minus {0, 1}"
 
     inputs = dict(cert_near_1.inputs)

@@ -6,8 +6,9 @@ coboundary defect of the volume cocycles, `certify-bound` runs the doubling
 recursion on a named test function, and `probe-config-space` histograms an
 invariant and reports a compactness verdict.
 
-Exit codes: 0 all checks passed, 1 tolerance violation or refused
-certificate, 2 usage/config error.  A fixed --seed makes every report byte
+Exit codes: 0 all checks passed, 1 tolerance violation, refused
+certificate or refused report (a value JSON cannot hold, such as NaN),
+2 usage/config error.  A fixed --seed makes every report byte
 identical across runs; the BOUNDARYKIT_SEED environment variable supplies
 the default when --seed is absent.
 """
@@ -23,11 +24,12 @@ from .certifier import (DEFAULT_DELTA, GridConfig, alternating_bump_function,
                         certify_complex_region, certify_interval, const_function,
                         pole_function, vol3_slice)
 from .cochains import Cochain, empirical_sup_defect
-from .errors import BoundaryKitError, UnboundedDefect, UnknownInvariant
+from .errors import (BoundaryKitError, UnboundedDefect, UnencodableReport,
+                     UnknownInvariant)
 from .projective import EPS_DIST
 from .reports import (ESCAPE_HI_DEFAULT, ESCAPE_LO_DEFAULT, INVARIANT_MODELS, MODELS,
                       ReportEnvelope, SamplerConfig, _write_report, compactness_probe,
-                      emit_report, invariant_values, sample_with_stats,
+                      emit_report, invariant_values, sample_columns,
                       summarize_invariant)
 from .sampling import chart_tuple_sampler, circle_tuple_sampler, task_seed
 from .version import __version__
@@ -75,29 +77,13 @@ def _config_from_args(args, seed: int) -> SamplerConfig:
                          seed=seed, tolerance=args.tol, dim=dim)
 
 
-def _format_vector(v, scalar=float) -> str:
-    return ";".join(repr(scalar(x)) for x in v)
-
-
 def _cmd_sample(args) -> int:
     seed = _resolve_seed(args)
     config = _config_from_args(args, seed)
-    tuples, stats = sample_with_stats(config)
-    rows = []
-    for i, tup in enumerate(tuples):
-        for j, point in enumerate(tup):
-            row = {"tuple_index": i, "point_index": j}
-            if config.model == "flags3":
-                row["line"] = _format_vector(point.line)
-                row["plane"] = _format_vector(point.plane)
-            elif config.model == "complex_hyperbolic":
-                row["lift"] = _format_vector(point.lift, complex)
-            else:
-                row["coords"] = _format_vector(point.direction)
-            rows.append(row)
-    summary = {"tuples": len(tuples), **stats}
+    results, stats = sample_columns(config)
+    summary = {"tuples": config.count, **stats}
     envelope = ReportEnvelope(command="sample", seed=seed, config=config.echo(),
-                              results=rows, summary=summary)
+                              results=results, summary=summary)
     _write(envelope, args)
     return 0
 
@@ -114,10 +100,10 @@ def _cmd_invariant(args) -> int:
     seed = _resolve_seed(args)
     config = _config_from_args(args, seed)
     name = _resolve_invariant(args, config)
-    rows, summary = summarize_invariant(name, invariant_values(config, name))
+    results, summary = summarize_invariant(name, invariant_values(config, name))
     envelope = ReportEnvelope(command="invariant", seed=seed,
                               config={**config.echo(), "invariant": name},
-                              results=rows, summary=summary)
+                              results=results, summary=summary)
     _write(envelope, args)
     return 0
 
@@ -257,6 +243,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UnencodableReport as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return 1
     except BoundaryKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

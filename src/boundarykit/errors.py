@@ -59,3 +59,7 @@ class UnknownInvariant(BoundaryKitError):
 
 class EvaluationError(BoundaryKitError):
     """A user-supplied evaluator failed on a point of its stated domain."""
+
+
+class UnencodableReport(BoundaryKitError, ValueError):
+    """A report holds a value its format cannot represent, such as NaN in JSON."""

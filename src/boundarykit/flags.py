@@ -36,6 +36,30 @@ def _sign_normalize(v):
     return v
 
 
+def _sign_normalize_rows(v):
+    """_sign_normalize of each row of `v`, bit for bit."""
+    # sqrt(vecdot) is the 1-D np.linalg.norm bit for bit; einsum is not
+    norm = np.sqrt(np.vecdot(v, v))
+    if not np.all(np.isfinite(norm) & (norm > 0.0)):
+        raise ValueError("vector must be finite and nonzero")
+    v = v / norm[:, None]
+    lead = np.take_along_axis(v, np.argmax(np.abs(v), axis=1)[:, None], axis=1)
+    return np.where(lead < 0, -v, v)
+
+
+def batch_normalize_flags(lines, planes):
+    """(line, plane) of Flag3(lines[i], planes[i]) for each row i, bit for bit.
+
+    `lines` and `planes` are float arrays of shape (n, 3).  Raises
+    ValueError, as Flag3 does, where a covector is parallel to its line.
+    """
+    e = _sign_normalize_rows(lines)
+    phi = planes - np.vecdot(planes, e)[:, None] * e  # vecdot is `@` bit for bit
+    if np.any(np.sqrt(np.vecdot(phi, phi)) < 1e-9):
+        raise ValueError("plane covector is parallel to the line")
+    return e, _sign_normalize_rows(phi)
+
+
 class Flag3:
     """A full flag in R^3: a sign-normalized unit line vector inside the
     kernel of a sign-normalized unit covector."""

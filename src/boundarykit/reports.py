@@ -1,29 +1,35 @@
 """Batch sampling, configuration-space probes, and report serialization.
 
 Every command produces a ReportEnvelope: a plain-data record holding the
-command name, the seed, a config echo (with tolerances), a list of flat
-result rows, summary statistics and the package version.  Serialization is
-deterministic (sorted keys, stable row order, repr-based floats), so a
-fixed seed reproduces reports byte for byte.
+command name, the seed, a config echo (with tolerances), flat result rows,
+summary statistics and the package version.  Bulk results are held as
+ResultColumns, which read as rows but are encoded column by column.
+Serialization is deterministic (sorted keys, stable row order, repr-based
+floats), so a fixed seed reproduces reports byte for byte.
 
 JSON reports are single objects with exactly the keys
-command/seed/config/results/summary/version.  CSV reports contain the
-result rows under a header equal to the row keys; `read_report_csv` reads
-them back.
+command/seed/config/results/summary/version, in the bytes of
+`json.dump(..., sort_keys=True, indent=2)` plus a newline.  CSV reports
+contain the result rows under a header equal to the row keys;
+`read_report_csv` reads them back.  A report is encoded in full before its
+file is opened, so a refused report leaves no file.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import flags as flags_mod
-from .errors import UnknownInvariant
-from .flags import Flag3
+from .errors import UnencodableReport, UnknownInvariant
+from .flags import Flag3, batch_normalize_flags
 from .hyperbolic import (ComplexBoundaryPoint, RealBoundaryPoint,
                          cartan_invariant_batch, complex_chordal_distance,
                          real_chordal_distance)
@@ -75,20 +81,56 @@ class SamplerConfig:
         return d
 
 
+class ResultColumns(Sequence):
+    """Flat result rows stored column by column.
+
+    `columns` maps each row key, in CSV column order, to a list, range or
+    1-D array of JSON scalars (str, int, float, bool or None), one per row.
+    Read as a sequence, it yields the row dicts, with numpy scalars as
+    Python numbers.
+    """
+
+    def __init__(self, columns: dict):
+        if len({len(column) for column in columns.values()}) > 1:
+            raise ValueError("result columns differ in length")
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
+
+    def __getitem__(self, i) -> dict:
+        i = range(len(self))[i]  # IndexError past the last row ends iteration
+        return {name: column[i].item() if isinstance(column, np.ndarray) else column[i]
+                for name, column in self.columns.items()}
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, ResultColumns)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
+def _plain(column):
+    """A column as given, or as a list of Python scalars if it is an array."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
 @dataclass
 class ReportEnvelope:
-    """Machine-readable result record; reproducible bit-for-bit per seed."""
+    """Machine-readable result record; reproducible bit-for-bit per seed.
+
+    `results` is a list of row dicts or a ResultColumns.
+    """
 
     command: str
     seed: int
     config: dict
-    results: list
+    results: Sequence
     summary: dict
     version: str = __version__
 
     def to_dict(self) -> dict:
         return {"command": self.command, "seed": self.seed, "config": self.config,
-                "results": self.results, "summary": self.summary,
+                "results": list(self.results), "summary": self.summary,
                 "version": self.version}
 
 
@@ -174,28 +216,54 @@ def sampling_stats(config: SamplerConfig) -> dict:
     return _acceptance(*_accepted_batches(config)[1:])
 
 
-def sample_with_stats(config: SamplerConfig):
-    """(sample_tuples(config), sampling_stats(config)) from one sampler run."""
-    chunks, draws, accepted = _accepted_batches(config)
-    data = _concat_chunks(config, chunks)
-    out = []
+def _point_objects(config: SamplerConfig, data):
+    """Tuples of point objects from the sampler's concatenated arrays."""
     if config.model == "flags3":
         lines, planes = data
-        for i in range(config.count):
-            out.append(tuple(Flag3(lines[i, j], planes[i, j])
-                             for j in range(config.tuple_size)))
-    elif config.model == "complex_hyperbolic":
-        for row in data:
-            out.append(tuple(ComplexBoundaryPoint(lift) for lift in row))
-    else:
-        for row in data:
-            out.append(tuple(RealBoundaryPoint(d) for d in row))
-    return out, _acceptance(draws, accepted)
+        return [tuple(Flag3(lines[i, j], planes[i, j]) for j in range(config.tuple_size))
+                for i in range(config.count)]
+    point = ComplexBoundaryPoint if config.model == "complex_hyperbolic" else RealBoundaryPoint
+    return [tuple(point(row) for row in tup) for tup in data]
 
 
 def sample_tuples(config: SamplerConfig):
     """Exactly `count` generic tuples of point objects, deterministic per seed."""
-    return sample_with_stats(config)[0]
+    return _point_objects(config, _concat_chunks(config, _accepted_batches(config)[0]))
+
+
+def _format_vector(v, scalar=float) -> str:
+    return ";".join(repr(scalar(x)) for x in v)
+
+
+def _format_rows(rows: np.ndarray) -> list:
+    """_format_vector of each row of a 2-D float array."""
+    template = ";".join(["%r"] * rows.shape[1])
+    return list(map(template.__mod__, map(tuple, rows.tolist())))
+
+
+def sample_columns(config: SamplerConfig):
+    """The `sample` report's result columns and sampler statistics, from one run.
+
+    One row per sampled point, tuple by tuple, holding its `;`-joined
+    coordinates: a flag's sign-normalized line and covector, a complex
+    point's normalized lift, or a real point's unit direction.
+    """
+    chunks, draws, accepted = _accepted_batches(config)
+    data = _concat_chunks(config, chunks)
+    count, size = config.count, config.tuple_size
+    columns = {"tuple_index": np.repeat(np.arange(count), size),
+               "point_index": np.tile(np.arange(size), count)}
+    if config.model == "flags3":
+        lines, planes = batch_normalize_flags(*(a.reshape(-1, 3) for a in data))
+        columns["line"] = _format_rows(lines)
+        columns["plane"] = _format_rows(planes)
+    else:
+        points = [p for tup in _point_objects(config, data) for p in tup]
+        if config.model == "complex_hyperbolic":
+            columns["lift"] = [_format_vector(p.lift, complex) for p in points]
+        else:
+            columns["coords"] = [_format_vector(p.direction) for p in points]
+    return ResultColumns(columns), _acceptance(draws, accepted)
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +304,8 @@ def histogram_summary(values: np.ndarray, bins: int = 40) -> dict:
 
 
 def summarize_invariant(name: str, values: np.ndarray):
-    """Result rows and summary of an invariant's values, as (rows, summary)."""
-    rows = [{"index": i, "value": float(v)} for i, v in enumerate(values)]
+    """Result columns and summary of an invariant's values, as (results, summary)."""
+    results = ResultColumns({"index": range(values.shape[0]), "value": values})
     summary = {
         "invariant": name,
         "count": int(values.shape[0]),
@@ -246,7 +314,7 @@ def summarize_invariant(name: str, values: np.ndarray):
         "quantiles": quantile_summary(values),
         "histogram": histogram_summary(values),
     }
-    return rows, summary
+    return results, summary
 
 
 def compactness_probe(model: str, invariant_name: str, config: SamplerConfig,
@@ -296,35 +364,97 @@ def compactness_probe(model: str, invariant_name: str, config: SamplerConfig,
 
 
 def emit_report(envelope: ReportEnvelope, format: str, path) -> None:
-    """Write the envelope as canonical JSON or flattened CSV."""
-    if format not in ("json", "csv"):
-        raise ValueError(f"unknown report format {format!r}")
-    if format == "csv" and not envelope.results:
-        raise ValueError("cannot emit CSV for an empty results list")
+    """Write the envelope as canonical JSON or flattened CSV.
+
+    The report is encoded in full before `path` is opened, so a refused
+    report (UnencodableReport) leaves no file behind.
+    """
+    text = _report_text(envelope, format)
     # csv ends each line with "\n" itself; JSON gets the platform's newline
     with open(path, "w", encoding="utf-8",
               newline="" if format == "csv" else None) as fh:
-        _write_report(envelope, format, fh)
+        fh.write(text)
 
 
 def _write_report(envelope: ReportEnvelope, format: str, stream) -> None:
     """Write the envelope to a text stream, for arguments emit_report accepts."""
-    if format == "json":
-        # NaN and infinities are not JSON; refuse them instead of writing them
-        json.dump(envelope.to_dict(), stream, sort_keys=True, indent=2, allow_nan=False)
-        stream.write("\n")
-        return
-    header = list(envelope.results[0].keys())
-    writer = csv.DictWriter(stream, fieldnames=header, lineterminator="\n")
-    writer.writeheader()
-    for row in envelope.results:
-        writer.writerow({k: _csv_cell(row[k]) for k in header})
+    text = _report_text(envelope, format)
+    # a write larger than the stream's buffer to a pipe whose reader has
+    # closed can stop short without raising BrokenPipeError; smaller writes
+    # raise it
+    for start in range(0, len(text), io.DEFAULT_BUFFER_SIZE):
+        stream.write(text[start:start + io.DEFAULT_BUFFER_SIZE])
 
 
-def _csv_cell(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value
+def _report_text(envelope: ReportEnvelope, format: str) -> str:
+    if format not in ("json", "csv"):
+        raise ValueError(f"unknown report format {format!r}")
+    if format == "csv":
+        if not envelope.results:
+            raise ValueError("cannot emit CSV for an empty results list")
+        return _csv_text(envelope.results)
+    try:
+        return _json_text(envelope)
+    except ValueError as exc:  # NaN and infinities are not JSON
+        raise UnencodableReport(str(exc)) from exc
+
+
+def _json_text(envelope: ReportEnvelope) -> str:
+    """The bytes of json.dump(sort_keys=True, indent=2, allow_nan=False) + "\n".
+
+    Row lists go through json.dumps.  ResultColumns are encoded column by
+    column, one %-template per row, and spliced into the rest of the
+    envelope, which json.dumps encodes with an empty results list.
+    """
+    results = envelope.results
+    if not isinstance(results, ResultColumns):
+        return json.dumps(envelope.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    text = json.dumps({**vars(envelope), "results": []},
+                      sort_keys=True, indent=2, allow_nan=False) + "\n"
+    if not len(results):
+        return text
+    names = sorted(results.columns)
+    # rows sit at depth 2 of the envelope and their keys at depth 3
+    template = ("    {\n" + ",\n".join(
+        "      " + encode_basestring_ascii(name).replace("%", "%%") + ": %s"
+        for name in names) + "\n    }")
+    rows = map(template.__mod__,
+               zip(*(_json_cells(results.columns[name]) for name in names)))
+    # only top-level keys are indented by exactly two spaces
+    head, tail = text.split('\n  "results": []', 1)
+    return "".join([head, '\n  "results": [\n', ",\n".join(rows), "\n  ]", tail])
+
+
+def _json_cells(column) -> list:
+    """JSON text of each cell of a column, as json.dumps writes it."""
+    values = _plain(column)
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        if not all(map(math.isfinite, values)):
+            bad = next(v for v in values if not math.isfinite(v))
+            raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+        return list(map(float.__repr__, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if kinds == {str}:
+        return list(map(encode_basestring_ascii, values))
+    if not all(isinstance(v, (str, int, float, type(None))) for v in values):
+        raise TypeError("result columns hold JSON scalars only")
+    return [json.dumps(v, allow_nan=False) for v in values]
+
+
+def _csv_text(results) -> str:
+    """CSV of the rows under a header of the row keys; floats written by repr."""
+    buffer = io.StringIO()
+    if isinstance(results, ResultColumns):
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(results.columns)
+        writer.writerows(zip(*map(_plain, results.columns.values())))
+    else:
+        writer = csv.DictWriter(buffer, fieldnames=list(results[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(results)
+    return buffer.getvalue()
 
 
 def read_report_json(path) -> ReportEnvelope:

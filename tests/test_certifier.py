@@ -11,8 +11,10 @@ from boundarykit import (DegenerateArguments, EvaluationError, GridConfig,
                          certify_complex_region, certify_interval, const_function,
                          doubling_defect, extend_by_symmetry, five_term_defect,
                          pole_function, vol3_slice)
-from boundarykit.certifier import (BoundCertificate, RegionSpec, _in_sector,
-                                   _real_target_grid, _sector_grid, _squarings)
+from boundarykit.certifier import (BoundCertificate, RegionSpec, _base_sector_grids,
+                                   _effective_depth, _in_sector, _near2_disk_grid,
+                                   _near2_radius, _polar_grid, _real_target_grid,
+                                   _sector_grid, _squarings)
 
 FAST_GRID = GridConfig(points_per_region=2000)
 
@@ -520,3 +522,78 @@ def test_squaring_count_and_its_cap(field):
     assert _squarings(points, inside, cap=k_max) == k_max
     with pytest.raises(IterationOverflow, match=f"exceeded cap {k_max - 1}"):
         _squarings(points, inside, cap=k_max - 1)
+
+
+# ---------------------------------------------------------------------------
+# grids as outer products equal the point-by-point construction
+
+
+def listed_sector_grid(delta, cfg):
+    m = max(2, math.isqrt(cfg.points_per_region))
+    m += m % 2
+    moduli = 1.0 - delta + delta * np.arange(1, m + 1) / m
+    args = -delta + 2.0 * delta * (np.arange(m) + 0.5) / m
+    points = [complex(r * math.cos(t), r * math.sin(t)) for r in moduli for t in args]
+    for j in range(1, _effective_depth(delta) + 1):
+        eps = delta * 0.5 ** j
+        points += [cmath.rect(1.0, eps), cmath.rect(1.0, -eps), complex(1.0 - eps, 0.0)]
+    return np.array(points)
+
+
+def listed_base_sector_grids(delta, cfg):
+    m = max(2, math.isqrt(cfg.points_per_region // 2))
+    points = [cmath.rect(r, t) for r in np.linspace((1.0 - delta) ** 2, 1.0 - delta, m)
+              for t in np.linspace(-2.0 * delta, 2.0 * delta, m)]
+    side_args = np.concatenate([np.linspace(-2.0 * delta, -delta, m // 2),
+                                np.linspace(delta, 2.0 * delta, m // 2)])
+    points += [cmath.rect(r, t) for r in np.linspace(1.0 - delta + delta / m, 1.0, m)
+               for t in side_args]
+    return np.array(points)
+
+
+def listed_near2_disk_grid(delta, cfg):
+    radius = _near2_radius(delta)
+    m = max(2, math.isqrt(cfg.points_per_region))
+    return np.array([complex(2.0, 0.0)] + [
+        2.0 + cmath.rect(r, t) for r in np.linspace(radius / m, radius, m)
+        for t in np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)])
+
+
+def listed_compact_region(delta, cfg):
+    rho = delta / 2.0
+    m = max(2, math.isqrt(cfg.points_per_region))
+    points = [cmath.rect(r, t) for r in np.linspace(rho, 2.0 / delta, m)
+              for t in np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)]
+    return np.array([z for z in points if abs(z - 1.0) >= rho])
+
+
+@pytest.mark.parametrize("delta", [0.01, 0.05, 0.1, 0.144, 0.2, 0.249])
+@pytest.mark.parametrize("n", [1, 3, 1001, 10_000])
+def test_grids_equal_their_point_by_point_construction_bitwise(delta, n):
+    cfg = GridConfig(points_per_region=n)
+    pairs = [(_sector_grid, listed_sector_grid),
+             (_base_sector_grids, listed_base_sector_grids),
+             (_near2_disk_grid, listed_near2_disk_grid)]
+    for grid, listed in pairs:
+        got, want = grid(delta, cfg), listed(delta, cfg)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    seen = []
+
+    def record(z):
+        seen.append(z.copy())
+        return np.zeros(z.shape)
+
+    F = ScalarFunction(evaluator=lambda z: 0.0, field_tag="complex",
+                       from_alternating=True, batch=record)
+    near_1 = BoundCertificate(region=RegionSpec(kind="complex_sector", delta=delta,
+                                                target="U", base="B"),
+                              certified_bound=1.0, inputs={}, k_max=0)
+    extend_by_symmetry(near_1, F, cfg)
+    assert np.concatenate(seen).tobytes() == listed_compact_region(delta, cfg).tobytes()
+
+
+def test_polar_grid_keeps_signed_zero_angles_as_cmath_rect_does():
+    angles = [-0.0, 0.0, math.pi, -math.pi / 2]
+    got = _polar_grid([0.0, 1.0, 2.5], angles)
+    want = np.array([cmath.rect(r, t) for r in (0.0, 1.0, 2.5) for t in angles])
+    assert got.tobytes() == want.tobytes()

@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import boundarykit
@@ -246,3 +247,27 @@ def test_a_closed_stdout_pipe_ends_without_a_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert stderr == ""
+
+
+@pytest.mark.parametrize("where", ["row", "summary"])
+def test_a_non_finite_report_is_refused_and_leaves_no_file(tmp_path, monkeypatch, capsys,
+                                                           where):
+    from boundarykit import cli
+
+    def summarize_with_nan(name, values):
+        values = values.copy()
+        summary = {"count": len(values)}
+        if where == "row":
+            values[5_000] = np.nan
+        else:
+            summary["max"] = np.inf
+        return reports.ResultColumns({"index": range(len(values)), "value": values}), summary
+
+    monkeypatch.setattr(cli, "summarize_invariant", summarize_with_nan)
+    out = tmp_path / "i.json"
+    code = main(["invariant", "--model", "complex_hyperbolic", "--count", "10000",
+                 "--out", str(out)] + COMMON)
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("refused: ") and "not JSON compliant" in err

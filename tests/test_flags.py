@@ -4,8 +4,8 @@ import pytest
 from boundarykit import (Flag3, NotGeneric, NotOpposite, flat_boundary,
                          is_generic_triple, is_opposite, random_flag,
                          triple_ratio)
-from boundarykit.flags import (batch_is_generic, batch_random_flags,
-                               batch_triple_ratio)
+from boundarykit.flags import (batch_is_generic, batch_normalize_flags,
+                               batch_random_flags, batch_triple_ratio)
 
 E1, E2, E3 = np.eye(3)
 
@@ -251,3 +251,27 @@ def test_batch_random_flags_are_valid():
     assert np.allclose(np.linalg.norm(lines, axis=1), 1.0, atol=1e-12)
     assert np.allclose(np.linalg.norm(planes, axis=1), 1.0, atol=1e-12)
     assert np.max(np.abs(np.einsum("ni,ni->n", lines, planes))) <= 1e-12
+
+
+def test_batch_normalization_equals_flag3_bit_for_bit():
+    rng = np.random.default_rng(54)
+    lines, planes = batch_random_flags(rng, 3000)
+    # off unit length and off the incidence condition, with exact ties in |.|
+    lines = lines * rng.uniform(0.5, 2.0, (3000, 1))
+    planes = planes + 0.3 * rng.standard_normal(planes.shape)
+    lines[:20] = [1.0, -1.0, 0.5]
+    lines[20:40] = [-0.0, -2.0, 2.0]
+    e, phi = batch_normalize_flags(lines, planes)
+    for k in range(3000):
+        flag = Flag3(lines[k], planes[k])
+        assert e[k].tobytes() == flag.line.tobytes()
+        assert phi[k].tobytes() == flag.plane.tobytes()
+
+
+def test_batch_normalization_refuses_what_flag3_refuses():
+    with pytest.raises(ValueError, match="parallel"):
+        batch_normalize_flags(np.array([E1, E2, E3]), np.array([E2, 2.0 * E2, E1]))
+    with pytest.raises(ValueError, match="finite and nonzero"):
+        batch_normalize_flags(np.array([E1, np.zeros(3)]), np.array([E2, E1]))
+    with pytest.raises(ValueError, match="finite and nonzero"):
+        batch_normalize_flags(np.array([E1]), np.array([[np.nan, 1.0, 0.0]]))

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -5,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from boundarykit import (SamplerConfig, UnknownInvariant, compactness_probe,
-                         emit_report, invariant_values, read_report_csv,
-                         read_report_json, sample_tuples, sampling_stats)
-from boundarykit.reports import ReportEnvelope, _write_report
+from boundarykit import (ResultColumns, SamplerConfig, UnencodableReport,
+                         UnknownInvariant, compactness_probe, emit_report,
+                         invariant_values, read_report_csv, read_report_json,
+                         sample_tuples, sampling_stats)
+from boundarykit.reports import ReportEnvelope, _write_report, sample_columns
 
 
 def test_config_validation():
@@ -157,3 +159,131 @@ def test_json_refuses_non_finite_numbers(tmp_path, value):
         _write_report(env, "json", io.StringIO())
     with pytest.raises(ValueError, match="not JSON compliant"):
         emit_report(env, "json", tmp_path / "report.json")
+
+
+def json_oracle(env):
+    buffer = io.StringIO()
+    json.dump(env.to_dict(), buffer, sort_keys=True, indent=2, allow_nan=False)
+    return buffer.getvalue() + "\n"
+
+
+ODD_STRINGS = ["plain", "é ∞ 𝔽", 'say "hi"', "back\\slash", "tab\tnew\nline", "", "%s %%"]
+
+ORACLE_ENVELOPES = [
+    # columns of every scalar kind, arrays among them
+    ReportEnvelope(command="x", seed=3, config={"tolerance": 1e-9, "name": "é"},
+                   results=ResultColumns({
+                       "index": range(7),
+                       "count": np.arange(7) * 10 ** 12,
+                       "value": np.array([-0.0, 5e-324, 1e308, 0.1, -2.5, 1.0, 3e-7]),
+                       "label": ODD_STRINGS,
+                       "passed": [True, False, True, True, False, False, True],
+                       "mixed": [None, 1, 2.5, "s", True, 0.5, -0.0],
+                       "zé \"%d\"": [0.0] * 7}),
+                   summary={"nested": {"histogram": {"counts": [1, 2], "edges": [0.0, 0.5]},
+                                       "none": None, "flag": False},
+                            "empty": [], "deep": [[{"a": []}]]}),
+    ReportEnvelope(command="x", seed=0, config={}, results=ResultColumns({}),
+                   summary={"count": 0}),
+    ReportEnvelope(command="x", seed=0, config={},
+                   results=ResultColumns({"only": [1.5]}), summary={}),
+    # refusal rows and rows with differing key sets take the row path
+    ReportEnvelope(command="certify-bound", seed=1, config={"delta": 0.1},
+                   results=[{"function": "pole", "refused": True,
+                             "reason": "doubling defect 1.2e+06 at point (0.9+0.01j)"}],
+                   summary={"refused": True, "reason": "r"}),
+    ReportEnvelope(command="x", seed=2, config={},
+                   results=[{"a": 1, "b": [1, 2]}, {"c": None}, {"a": -0.0, "d": {"e": "é"}}],
+                   summary={}),
+]
+
+
+@pytest.mark.parametrize("env", ORACLE_ENVELOPES)
+def test_writer_equals_json_dump(env, tmp_path):
+    stream = io.StringIO()
+    _write_report(env, "json", stream)
+    assert stream.getvalue() == json_oracle(env)
+    emit_report(env, "json", tmp_path / "r.json")
+    assert (tmp_path / "r.json").read_text(encoding="utf-8") == json_oracle(env)
+    assert read_report_json(tmp_path / "r.json") == env
+
+
+def dictwriter_csv(rows):
+    """CSV as written row by row with csv.DictWriter, floats by repr."""
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("env", [e for e in ORACLE_ENVELOPES if e.results][:-1])
+def test_csv_writer_equals_dictwriter(env):
+    stream = io.StringIO()
+    _write_report(env, "csv", stream)
+    assert stream.getvalue() == dictwriter_csv(list(env.results))
+
+
+def test_csv_refuses_rows_with_keys_beyond_the_header(tmp_path):
+    env = ORACLE_ENVELOPES[-1]
+    with pytest.raises(ValueError, match="not in fieldnames"):
+        dictwriter_csv(list(env.results))
+    with pytest.raises(ValueError, match="not in fieldnames"):
+        emit_report(env, "csv", tmp_path / "r.csv")
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_numpy_scalars_in_list_columns_are_written_as_python_numbers():
+    env = ReportEnvelope(command="x", seed=0, config={}, summary={},
+                         results=ResultColumns({"a": [np.float64(0.5), 2]}))
+    stream = io.StringIO()
+    _write_report(env, "json", stream)
+    assert stream.getvalue() == json_oracle(env)
+    stream = io.StringIO()
+    _write_report(env, "csv", stream)
+    assert stream.getvalue() == "a\n0.5\n2\n"
+
+
+def test_result_columns_read_as_rows():
+    values = np.array([0.5, -1.25, 3.0])
+    results = ResultColumns({"index": range(3), "value": values})
+    assert len(results) == 3
+    assert results[1] == {"index": 1, "value": -1.25}
+    assert type(results[1]["value"]) is float
+    assert results == [{"index": i, "value": float(v)} for i, v in enumerate(values)]
+    assert results != [{"index": 0, "value": 0.5}]
+    with pytest.raises(IndexError):
+        results[3]
+    with pytest.raises(ValueError):
+        ResultColumns({"a": [1, 2], "b": [1]})
+
+
+@pytest.mark.parametrize("where", ["column", "summary"])
+def test_a_refused_report_leaves_no_file(tmp_path, where):
+    values = np.linspace(0.0, 1.0, 10_000)
+    summary = {"count": 10_000}
+    if where == "column":
+        values[5_000] = math.nan
+    else:
+        summary["max"] = math.inf
+    env = ReportEnvelope(command="x", seed=0, config={}, summary=summary,
+                         results=ResultColumns({"index": range(10_000), "value": values}))
+    path = tmp_path / "report.json"
+    with pytest.raises(UnencodableReport, match="not JSON compliant"):
+        emit_report(env, "json", path)
+    assert not path.exists()
+    stream = io.StringIO()
+    with pytest.raises(UnencodableReport):
+        _write_report(env, "json", stream)
+    assert stream.getvalue() == ""
+
+
+@pytest.mark.parametrize("seed", [1, 2, 77])
+@pytest.mark.parametrize("size", [2, 3])
+def test_batch_sample_cells_equal_the_flag3_path(seed, size):
+    config = SamplerConfig(model="flags3", tuple_size=size, count=1500, seed=seed)
+    results, _ = sample_columns(config)
+    flags = [flag for tup in sample_tuples(config) for flag in tup]
+    assert results.columns["line"] == [";".join(map(repr, f.line.tolist())) for f in flags]
+    assert results.columns["plane"] == [";".join(map(repr, f.plane.tolist())) for f in flags]
