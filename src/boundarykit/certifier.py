@@ -477,11 +477,8 @@ def alternating_bump_function(center: float = 0.3) -> ScalarFunction:
     """
 
     def bump(t):
-        d = t - center
-        # ** on a float calls the C library's pow, and so does np.float_power
-        # on an array; ** on an array squares, which can round differently
-        square = np.float_power(d, 2.0) if isinstance(d, np.ndarray) else d ** 2
-        return 1.0 / (1.0 + square)
+        d = t - center  # d * d rounds alike on floats and arrays; ** 2 need not
+        return 1.0 / (1.0 + d * d)
 
     def ev(x):  # a float, or a float64 array elementwise
         return (bump(x) - bump(1.0 / x) - bump(1.0 - x)

@@ -31,9 +31,9 @@ from .reports import (ESCAPE_HI_DEFAULT, ESCAPE_LO_DEFAULT, INVARIANT_MODELS, MO
                       ReportEnvelope, SamplerConfig, _write_report, compactness_probe,
                       emit_report, invariant_values, sample_columns,
                       summarize_invariant)
-from .sampling import chart_tuple_sampler, circle_tuple_sampler, task_seed
+from .sampling import SphereTupleSampler, task_seed
 from .version import __version__
-from .volume import vol2, vol3
+from .volume import vol2, vol2_batch, vol3, vol3_batch
 
 SEED_ENV_VAR = "BOUNDARYKIT_SEED"
 
@@ -111,10 +111,10 @@ def _cmd_invariant(args) -> int:
 def _cmd_verify_cocycle(args) -> int:
     seed = _resolve_seed(args)
     checks = [
-        ("vol2_coboundary", Cochain(arity=3, evaluator=vol2),
-         circle_tuple_sampler(4), task_seed(seed, 0)),
-        ("vol3_coboundary", Cochain(arity=4, evaluator=vol3),
-         chart_tuple_sampler(5), task_seed(seed, 1)),
+        ("vol2_coboundary", Cochain(arity=3, evaluator=vol2, batch=vol2_batch),
+         SphereTupleSampler(2, 4), task_seed(seed, 0)),
+        ("vol3_coboundary", Cochain(arity=4, evaluator=vol3, batch=vol3_batch),
+         SphereTupleSampler(3, 5, chart=True), task_seed(seed, 1)),
     ]
     rows = []
     for name, cochain, sampler, sub in checks:

@@ -52,6 +52,7 @@ class Cochain:
     evaluator: Callable[..., float]
     model_arity: int = 0
     alternating: bool = False
+    batch: Callable[[np.ndarray], np.ndarray] | None = None  # (m, arity, k) coords -> m values
 
     def __post_init__(self):
         if self.arity < 0 or self.model_arity < 0:
@@ -92,7 +93,13 @@ def coboundary(f: Cochain) -> Cochain:
             total += (-1) ** i * _eval(f, models, omitted)
         return total
 
-    return Cochain(arity=f.arity + 1, evaluator=ev, model_arity=f.model_arity)
+    batch = None
+    if f.batch is not None and f.model_arity == 0:
+        def batch(points):  # the same signed sum, over slices of the tuple axis
+            return sum((-1) ** i * f.batch(np.delete(points, i, axis=1))
+                       for i in range(points.shape[1]))
+
+    return Cochain(arity=f.arity + 1, evaluator=ev, model_arity=f.model_arity, batch=batch)
 
 
 def model_coboundary(f: Cochain) -> Cochain:
@@ -203,14 +210,30 @@ def empirical_sup_defect(f: Cochain, sampler, n: int, seed: int = 0) -> DefectRe
     `sampler(rng)` must return a tuple of f.arity + 1 points, or None for a
     rejected (non-generic) draw.  Deterministic for a fixed seed; raises
     SamplerExhausted when rejections push the total draw count past
-    sampling.DRAW_BUDGET * n.
+    sampling.DRAW_BUDGET * n.  With f.batch and a batch sampler (one with
+    `draw`, as `SphereTupleSampler`), the same tuples are handled as arrays.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    from .sampling import for_each_tuple  # sampling imports this module
+    from .sampling import for_each_tuple, rejection_loop  # sampling imports this module
 
     g = coboundary(f)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    if g.batch is not None and hasattr(sampler, "draw"):
+        chunks = []
+
+        def draw(m):
+            normals, coords = sampler.draw(rng, m)
+            chunks.append((normals, g.batch(coords)))
+            return len(coords)
+
+        rejection_loop(draw, n)
+        normals, values = map(np.concatenate, zip(*chunks))
+        defect = np.abs(values)
+        i = int(np.argmax(np.nan_to_num(defect, nan=-1.0)))  # first maximum; NaNs lose, as below
+        return DefectReport(sup_abs=float(defect[i]), samples=n,
+                            argmax_tuple=sampler.points(normals[i]), seed=seed)
+
     sup_abs = -1.0
     witness = None
 

@@ -20,7 +20,8 @@ import math
 import numpy as np
 
 from .errors import DegenerateTuple, MixedModels, SignatureError
-from .projective import EPS_DIST, ProjectivePoint, coincident_pair, cross_ratio
+from .projective import (EPS_DIST, ProjectivePoint, _normalize_pair, coincident_pair,
+                         cross_ratio)
 
 RANK_TOL = 1e-10  # relative singular-value threshold for subspace detection
 
@@ -273,16 +274,21 @@ def boundary_to_chart(p: RealBoundaryPoint) -> ProjectivePoint:
     representative (1 + u_last, conj-numerator) is used, so the chart is
     defined everywhere.
     """
-    u = p.direction
-    if p.dim == 2:
-        if 1.0 - u[1] >= 0.5:
-            return ProjectivePoint(u[0], 1.0 - u[1], "real")
-        return ProjectivePoint(1.0 + u[1], u[0], "real")
-    if p.dim == 3:
-        if 1.0 - u[2] >= 0.5:
-            return ProjectivePoint(u[0] + 1j * u[1], 1.0 - u[2], "complex")
-        return ProjectivePoint(1.0 + u[2], u[0] - 1j * u[1], "complex")
-    raise MixedModels(f"no projective chart in dimension {p.dim}")
+    if p.dim not in (2, 3):
+        raise MixedModels(f"no projective chart in dimension {p.dim}")
+    return ProjectivePoint(*_chart_pair(p.direction), "real" if p.dim == 2 else "complex")
+
+
+def chart_coords(u) -> np.ndarray:
+    """`boundary_to_chart(p).coords` for an (..., dim) array u of unit directions."""
+    return np.moveaxis(_normalize_pair(np.stack(_chart_pair(np.moveaxis(u, -1, 0)))), 0, -1)
+
+
+def _chart_pair(u):
+    """Homogeneous chart pair (a, b) ~ a/b; coordinates along the first axis."""
+    away = 1.0 - u[-1] >= 0.5  # far from the north pole
+    plane, conj = (u[0], u[0]) if len(u) == 2 else (u[0] + 1j * u[1], u[0] - 1j * u[1])
+    return np.where(away, plane, 1.0 + u[-1]), np.where(away, 1.0 - u[-1], conj)
 
 
 def chart_to_boundary(p: ProjectivePoint) -> RealBoundaryPoint:

@@ -8,6 +8,7 @@ may vanish.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -26,20 +27,21 @@ def is_infinite(value) -> bool:
 
 
 def _normalize_pair(coords):
-    """Unit-normalize a homogeneous pair and fix a deterministic phase.
+    """Unit-normalize homogeneous pairs and fix a deterministic phase.
 
     The coordinate of largest modulus is made positive real, so each
-    projective point has exactly one representative.
+    projective point has exactly one representative.  Pairs run along the
+    first axis; np.hypot is abs() of a complex scalar bit for bit.
     """
     c = np.asarray(coords)
-    norm = math.sqrt(float(np.real(c[0]) ** 2 + np.imag(c[0]) ** 2
-                           + np.real(c[1]) ** 2 + np.imag(c[1]) ** 2))
-    if norm == 0.0 or not math.isfinite(norm):
+    re, im = c.real, c.imag
+    norm = np.sqrt(re[0] * re[0] + im[0] * im[0] + re[1] * re[1] + im[1] * im[1])
+    if not ((norm > 0.0) & (norm < math.inf)).all():
         raise ValueError("homogeneous pair must be finite and nonzero")
     c = c / norm
-    lead = 0 if abs(c[0]) >= abs(c[1]) else 1
-    pivot = c[lead]
-    c = c * (abs(pivot) / pivot)
+    modulus = np.hypot(c.real, c.imag)
+    pivot = np.where(modulus[1] > modulus[0], c[1], c[0])
+    c = c * (np.maximum(modulus[0], modulus[1]) / pivot)
     c.flags.writeable = False
     return c
 
@@ -84,9 +86,7 @@ class ProjectivePoint:
 
     def chordal_distance(self, other: "ProjectivePoint") -> float:
         """|det| of the two unit representatives; scale- and chart-free."""
-        a0, b0 = self.coords
-        a1, b1 = other.coords
-        return abs(a0 * b1 - a1 * b0)
+        return abs(_det(self.coords, other.coords))
 
     def __eq__(self, other):
         if not isinstance(other, ProjectivePoint):
@@ -123,8 +123,30 @@ def _require_distinct(points, tol=EPS_DIST):
             f"points {pair[0]} and {pair[1]} coincide within tolerance {tol:g}")
 
 
-def _det(p, q) -> complex:
-    return p.coords[0] * q.coords[1] - q.coords[0] * p.coords[1]
+def _require_distinct_rows(batch, distance, tol=EPS_DIST):
+    """_require_distinct for each tuple of an (m, size, k) batch, by row distances."""
+    for i, j in itertools.combinations(range(batch.shape[1]), 2):
+        close = distance(batch[:, i], batch[:, j]) <= tol
+        if close.any():
+            raise DegenerateTuple(f"points {i} and {j} of tuple {int(np.argmax(close))} "
+                                  f"coincide within tolerance {tol:g}")
+
+
+def _det(p, q):
+    """a_p b_q - a_q b_p of homogeneous pairs; coordinates along the first axis."""
+    d = p * q[::-1]  # an array product rounds alike for one pair or many; a scalar one need not
+    return d[0] - d[1]
+
+
+def pair_chordal_distance(p, q):
+    """`ProjectivePoint.chordal_distance` row by row, for (m, 2) arrays of unit pairs."""
+    d = _det(p.T, q.T)
+    return np.hypot(np.real(d), np.imag(d))
+
+
+def _cross_ratio_terms(c0, c1, c2, c3):
+    """Numerator and denominator of the cross ratio of four homogeneous pairs."""
+    return _det(c0, c2) * _det(c1, c3), _det(c0, c3) * _det(c1, c2)
 
 
 def cross_ratio(x0: ProjectivePoint, x1: ProjectivePoint,
@@ -136,13 +158,7 @@ def cross_ratio(x0: ProjectivePoint, x1: ProjectivePoint,
     two inputs coincide within EPS_DIST.
     """
     _require_distinct((x0, x1, x2, x3))
-    return _cross_ratio(x0, x1, x2, x3)
-
-
-def _cross_ratio(x0, x1, x2, x3):
-    """cross_ratio without its distinctness check, for callers that made it."""
-    num = _det(x0, x2) * _det(x1, x3)
-    den = _det(x0, x3) * _det(x1, x2)
+    num, den = _cross_ratio_terms(x0.coords, x1.coords, x2.coords, x3.coords)
     if abs(den) == 0.0:
         return INFINITY
     v = num / den
@@ -216,7 +232,7 @@ def normalize_to_standard(x0: ProjectivePoint, x1: ProjectivePoint,
     """
     _require_distinct((x0, x1, x2))
     (a0, b0), (a1, b1) = x0.coords, x1.coords
-    det = _det(x0, x1)
+    det = _det(x0.coords, x1.coords)
     if abs(det) < EPS_DET:
         raise DegenerateTuple("first two points coincide projectively")
     inv = np.array([[b1, -a1], [-b0, a0]]) / det

@@ -11,8 +11,8 @@ JSON reports are single objects with exactly the keys
 command/seed/config/results/summary/version, in the bytes of
 `json.dump(..., sort_keys=True, indent=2)` plus a newline.  CSV reports
 contain the result rows under a header equal to the row keys;
-`read_report_csv` reads them back.  A report is encoded in full before its
-file is opened, so a refused report leaves no file.
+`read_report_csv` reads them back.  A refused report or a failed write
+leaves no file (see `emit_report`).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import math
+import os
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 from json.encoder import encode_basestring_ascii
@@ -34,7 +35,7 @@ from .hyperbolic import (ComplexBoundaryPoint, RealBoundaryPoint,
                          cartan_invariant_batch, complex_chordal_distance,
                          real_chordal_distance)
 from .projective import EPS_DIST
-from .sampling import rejection_loop
+from .sampling import _mask_generic, rejection_loop
 from .version import __version__
 from .volume import circle_orientation
 
@@ -148,16 +149,6 @@ def _batch_complex(rng, m: int, size: int, dim: int):
     w = w / np.linalg.norm(w, axis=2, keepdims=True)
     lifts = np.concatenate([w, np.ones((m, size, 1))], axis=2) / math.sqrt(2.0)
     return lifts
-
-
-def _mask_generic(batch, tol, distance):
-    """Rows of (m, size, k) `batch` whose points are pairwise > tol apart."""
-    m = np.ones(batch.shape[0], dtype=bool)
-    size = batch.shape[1]
-    for i in range(size):
-        for j in range(i + 1, size):
-            m &= distance(batch[:, i], batch[:, j]) > tol
-    return m
 
 
 def _batch_flags(rng, m: int, size: int):
@@ -305,6 +296,10 @@ def histogram_summary(values: np.ndarray, bins: int = 40) -> dict:
 
 def summarize_invariant(name: str, values: np.ndarray):
     """Result columns and summary of an invariant's values, as (results, summary)."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise UnencodableReport(f"{name} value {float(values[i])!r} at index {i} is not finite")
     results = ResultColumns({"index": range(values.shape[0]), "value": values})
     summary = {
         "invariant": name,
@@ -366,14 +361,20 @@ def compactness_probe(model: str, invariant_name: str, config: SamplerConfig,
 def emit_report(envelope: ReportEnvelope, format: str, path) -> None:
     """Write the envelope as canonical JSON or flattened CSV.
 
-    The report is encoded in full before `path` is opened, so a refused
-    report (UnencodableReport) leaves no file behind.
+    It is encoded in full, then written beside `path` and renamed over it,
+    so a refused report or a write that fails part-way leaves no file.
     """
     text = _report_text(envelope, format)
-    # csv ends each line with "\n" itself; JSON gets the platform's newline
-    with open(path, "w", encoding="utf-8",
-              newline="" if format == "csv" else None) as fh:
-        fh.write(text)
+    partial = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        # csv ends each line with "\n" itself; JSON gets the platform's newline
+        with open(partial, "w", encoding="utf-8",
+                  newline="" if format == "csv" else None) as fh:
+            fh.write(text)
+        os.replace(partial, path)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
 
 
 def _write_report(envelope: ReportEnvelope, format: str, stream) -> None:

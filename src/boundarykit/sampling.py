@@ -4,13 +4,14 @@ A tuple sampler is a callable `sampler(rng) -> tuple | None`; None marks a
 rejected (non-generic) draw.  `rejection_loop`, allowed DRAW_BUDGET draws
 per tuple, is the one rejection loop: `for_each_tuple` and `draw_tuples`
 run tuple samplers through it, as do `cochains.empirical_sup_defect` and
-the batch samplers in `reports`.  `task_seed` splits a master seed into
-independent per-task seeds, counter-based, so tasks stay deterministic
-whatever order they run in.
+the batch samplers (`SphereTupleSampler.draw` and those in `reports`).
+`task_seed` splits a master seed into independent per-task seeds,
+counter-based, so tasks stay deterministic whatever order they run in.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -18,8 +19,8 @@ import numpy as np
 from .cochains import Cochain
 from .errors import SamplerExhausted
 from .hyperbolic import (ComplexBoundaryPoint, HyperbolicPoint,
-                         RealBoundaryPoint, boundary_to_chart,
-                         is_generic_tuple, lorentz_product)
+                         RealBoundaryPoint, boundary_to_chart, chart_coords,
+                         lorentz_product, real_chordal_distance)
 from .projective import EPS_DIST
 
 DRAW_BUDGET = 100  # draws allowed per requested tuple before SamplerExhausted
@@ -95,31 +96,52 @@ def random_hyperbolic_point(rng, dim: int, spread: float = 1.0) -> HyperbolicPoi
     return HyperbolicPoint(np.append(v, math.sqrt(1.0 + v @ v)))
 
 
-def sphere_tuple_sampler(dim: int, size: int, tol: float = EPS_DIST):
-    """Tuples of pairwise-distinct points on the boundary sphere of H^dim."""
+class SphereTupleSampler:
+    """Tuples of `size` pairwise-distinct points on the boundary sphere of H^dim.
 
-    def sample(rng):
-        points = tuple(random_boundary_point(rng, dim) for _ in range(size))
-        return points if is_generic_tuple(points, tol) else None
+    `sampler(rng)` draws one tuple of RealBoundaryPoint, or with `chart` of
+    their P^1(C) chart images, or None for a non-generic draw.  `draw(rng, m)`
+    draws m candidates with the same random numbers as m such calls and
+    returns the accepted ones' Gaussian draws, (m', size, dim), and their
+    points' `direction`s or `coords`, the input of Cochain.batch; `points`
+    rebuilds one tuple's point objects from its draws.
+    """
 
-    return sample
+    def __init__(self, dim: int, size: int, tol: float = EPS_DIST, chart: bool = False):
+        self.dim, self.size, self.tol, self.chart = dim, size, tol, chart
+
+    def __call__(self, rng):
+        normals = self.draw(rng, 1)[0]
+        return self.points(normals[0]) if len(normals) else None
+
+    def points(self, normals) -> tuple:
+        points = tuple(RealBoundaryPoint(v / np.linalg.norm(v)) for v in normals)
+        return tuple(map(boundary_to_chart, points)) if self.chart else points
+
+    def draw(self, rng, m: int):
+        normals = rng.standard_normal((m, self.size, self.dim))
+        # normalized twice, as unit_vector and then RealBoundaryPoint do
+        u = normals / np.sqrt(np.vecdot(normals, normals))[..., None]
+        u = u / np.sqrt(np.vecdot(u, u))[..., None]
+        keep = _mask_generic(u, self.tol, real_chordal_distance)
+        return normals[keep], chart_coords(u[keep]) if self.chart else u[keep]
 
 
-def circle_tuple_sampler(size: int, tol: float = EPS_DIST):
-    return sphere_tuple_sampler(2, size, tol)
+def _mask_generic(batch, tol, distance):
+    """Rows of (m, size, k) `batch` whose points are pairwise > tol apart."""
+    m = np.ones(batch.shape[0], dtype=bool)
+    for i, j in itertools.combinations(range(batch.shape[1]), 2):
+        m &= distance(batch[:, i], batch[:, j]) > tol
+    return m
 
 
-def chart_tuple_sampler(size: int, tol: float = EPS_DIST):
+def circle_tuple_sampler(size: int, tol: float = EPS_DIST) -> SphereTupleSampler:
+    return SphereTupleSampler(2, size, tol)
+
+
+def chart_tuple_sampler(size: int, tol: float = EPS_DIST) -> SphereTupleSampler:
     """Tuples of P^1(C) points drawn uniformly on S^2 through the chart."""
-    base = sphere_tuple_sampler(3, size, tol)
-
-    def sample(rng):
-        points = base(rng)
-        if points is None:
-            return None
-        return tuple(boundary_to_chart(p) for p in points)
-
-    return sample
+    return SphereTupleSampler(3, size, tol, chart=True)
 
 
 # ---------------------------------------------------------------------------

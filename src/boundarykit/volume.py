@@ -9,58 +9,48 @@ ratio z as the sum of Lobachevsky values at the three dihedral angles
 
 with sign convention sign(Im z) and value 0 for real z (flat simplex).
 
-Two evaluation routes for the Lobachevsky function are provided: the
-truncated Fourier series with an explicit tail bound (LobachevskyEvaluator)
-and a fast zeta-accelerated expansion (`lobachevsky`) exact to machine
-precision, which the volume functions use.  The two are cross-checked in
-the test suite.  `lobachevsky_batch` and `vol3_from_cross_ratio_batch` run
-the same expansion over arrays, for callers that evaluate whole grids.
+One kernel evaluates the Lobachevsky function: `lobachevsky_batch`, a
+zeta-accelerated expansion exact to machine precision.  Each scalar
+function (`lobachevsky`, `vol3_from_cross_ratio`, `vol2`, `vol3`) is a
+one-element call of its array form.  LobachevskyEvaluator, the truncated
+Fourier series with an explicit tail bound, checks the kernel in the tests.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
 from .errors import DegenerateTuple, MixedModels
-from .hyperbolic import RealBoundaryPoint, boundary_to_chart
-from .projective import (EPS_DIST, ProjectivePoint, _cross_ratio, _require_distinct,
-                         is_infinite)
+from .hyperbolic import RealBoundaryPoint, boundary_to_chart, real_chordal_distance
+from .projective import (EPS_DIST, ProjectivePoint, _cross_ratio_terms, _require_distinct_rows,
+                         pair_chordal_distance)
 
 # zeta(2n) for the accelerated expansion; exact powers of pi for the first
 # three, rapidly converging direct sums beyond
-_ZETA_EVEN = [0.0, math.pi ** 2 / 6, math.pi ** 4 / 90, math.pi ** 6 / 945]
-_k = np.arange(1.0, 4097.0)
-for _n in range(4, 44):
-    _ZETA_EVEN.append(float(np.sum(_k ** (-2.0 * _n))))
-del _k, _n
-
-_COEFF = np.array([_ZETA_EVEN[n] / (n * (2 * n + 1)) for n in range(1, 44)])
+_ZETA_EVEN = ([0.0, math.pi ** 2 / 6, math.pi ** 4 / 90, math.pi ** 6 / 945]
+              + [float(np.sum(np.arange(1.0, 4097.0) ** (-2.0 * n))) for n in range(4, 44)])
+# series coefficients, highest degree first for Horner's rule
+_COEFF = [_ZETA_EVEN[n] / (n * (2 * n + 1)) for n in range(43, 0, -1)]
 
 
 def lobachevsky(theta: float) -> float:
     """Lobachevsky function L(theta) = 1/2 sum sin(2 n theta)/n^2.
 
-    Odd and pi-periodic.  Evaluated through the expansion
-    L(x) = x - x log|2x| + x sum_{n>=1} zeta(2n)/(n(2n+1)) (x/pi)^{2n}
-    after reduction to |x| <= pi/2, where it converges geometrically;
-    absolute error is below 1e-14.
+    Odd and pi-periodic: `lobachevsky_batch` after reduction mod pi.
     """
-    x = math.remainder(theta, math.pi)
-    if x == 0.0:
-        return 0.0
-    r = (x / math.pi) ** 2
-    powers = r ** np.arange(1, 44)
-    return x - x * math.log(abs(2.0 * x)) + x * float(_COEFF @ powers)
+    return float(lobachevsky_batch(np.array([math.remainder(theta, math.pi)]))[0])
 
 
 def lobachevsky_batch(theta: np.ndarray) -> np.ndarray:
-    """`lobachevsky` over an array of angles with |theta| <= pi.
+    """Lobachevsky function over an array of angles with |theta| <= pi.
 
-    The reduction to |x| <= pi/2 is an exact shift by +-pi (Sterbenz), and
-    the series is summed by Horner's rule, so no power matrix is built.
+    Uses the expansion
+    L(x) = x - x log|2x| + x sum_{n>=1} zeta(2n)/(n(2n+1)) (x/pi)^{2n},
+    which converges geometrically for |x| <= pi/2.  The reduction to that
+    range is an exact shift by +-pi (Sterbenz), and the series is summed by
+    Horner's rule, so no power matrix is built.
     """
     x = np.asarray(theta, dtype=np.float64)
     if np.any(np.abs(x) > math.pi):
@@ -68,7 +58,7 @@ def lobachevsky_batch(theta: np.ndarray) -> np.ndarray:
     x = np.where(x > math.pi / 2, x - math.pi, np.where(x < -math.pi / 2, x + math.pi, x))
     r = (x / math.pi) ** 2
     series = np.zeros_like(r)
-    for c in _COEFF[::-1]:
+    for c in _COEFF:
         series = (series + c) * r
     # L(0) = 0: every term carries a factor x, so log(2) stands in for log(0)
     safe = np.where(x == 0.0, 1.0, x)
@@ -110,24 +100,23 @@ def vol2(x: RealBoundaryPoint, y: RealBoundaryPoint, z: RealBoundaryPoint,
     Counterclockwise triples on the circle give +pi.  Alternating, and a
     cocycle: the coboundary vanishes exactly on distinct 4-tuples.
     """
-    for p in (x, y, z):
-        if p.dim != 2:
-            raise MixedModels("vol2 expects points on the circle (dim 2)")
-    _require_distinct((x, y, z), tol)
-    turn = circle_orientation(x.direction, y.direction, z.direction)
-    return math.pi if turn > 0 else -math.pi
+    if any(p.dim != 2 for p in (x, y, z)):
+        raise MixedModels("vol2 expects points on the circle (dim 2)")
+    return float(vol2_batch(np.array([[x.direction, y.direction, z.direction]]), tol)[0])
+
+
+def vol2_batch(points: np.ndarray, tol: float = EPS_DIST) -> np.ndarray:
+    """`vol2` over an (m, 3, 2) array of circle directions, one triple per row."""
+    if points.shape[-1] != 2:
+        raise MixedModels("vol2 expects points on the circle (dim 2)")
+    _require_distinct_rows(points, real_chordal_distance, tol)
+    turn = circle_orientation(*points.transpose(1, 2, 0))
+    return np.where(turn > 0, math.pi, -math.pi)
 
 
 def vol3_from_cross_ratio(z) -> float:
     """Ideal-tetrahedron volume as a function of the cross ratio."""
-    if is_infinite(z) or z == 0 or z == 1:
-        raise DegenerateTuple("cross ratio degenerated to 0, 1 or infinity")
-    z = complex(z)
-    if z.imag == 0.0:
-        return 0.0
-    return (lobachevsky(cmath.phase(z))
-            + lobachevsky(cmath.phase(1.0 / (1.0 - z)))
-            + lobachevsky(cmath.phase(1.0 - 1.0 / z)))
+    return float(vol3_from_cross_ratio_batch(np.array([complex(z)]))[0])
 
 
 def vol3_from_cross_ratio_batch(z: np.ndarray) -> np.ndarray:
@@ -138,9 +127,9 @@ def vol3_from_cross_ratio_batch(z: np.ndarray) -> np.ndarray:
     volume = np.zeros(z.shape)
     nonreal = z.imag != 0.0
     w = z[nonreal]
-    volume[nonreal] = (lobachevsky_batch(np.angle(w))
-                       + lobachevsky_batch(np.angle(1.0 / (1.0 - w)))
-                       + lobachevsky_batch(np.angle(1.0 - 1.0 / w)))
+    # the three dihedral angles in one kernel call, so a single z costs one
+    angles = lobachevsky_batch(np.angle(np.stack([w, 1.0 / (1.0 - w), 1.0 - 1.0 / w])))
+    volume[nonreal] = angles[0] + angles[1] + angles[2]
     return volume
 
 
@@ -157,8 +146,14 @@ def vol3(x0, x1, x2, x3, tol: float = EPS_DIST) -> float:
     for p in points:
         if not isinstance(p, ProjectivePoint):
             raise TypeError(f"vol3 expects boundary points, got {type(p).__name__}")
-    _require_distinct(points, tol)
-    return vol3_from_cross_ratio(_cross_ratio(*points))
+    return float(vol3_batch(np.array([[p.coords for p in points]]), tol)[0])
+
+
+def vol3_batch(points: np.ndarray, tol: float = EPS_DIST) -> np.ndarray:
+    """`vol3` over an (m, 4, 2) array of ProjectivePoint coords in the P^1(C) chart."""
+    _require_distinct_rows(points, pair_chordal_distance, tol)
+    num, den = _cross_ratio_terms(*points.transpose(1, 2, 0))
+    return vol3_from_cross_ratio_batch(num / den)
 
 
 MAX_VOL3 = 3 * lobachevsky(math.pi / 3)  # volume of the regular ideal tetrahedron

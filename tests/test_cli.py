@@ -271,3 +271,20 @@ def test_a_non_finite_report_is_refused_and_leaves_no_file(tmp_path, monkeypatch
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("refused: ") and "not JSON compliant" in err
+
+
+def test_a_non_finite_invariant_value_is_refused(tmp_path, monkeypatch, capsys):
+    from boundarykit import cli
+
+    def values_with_nan(config, name):
+        values = np.linspace(-1.0, 1.0, config.count)
+        values[5_000] = np.nan
+        return values
+
+    monkeypatch.setattr(cli, "invariant_values", values_with_nan)
+    out = tmp_path / "i.json"
+    code = main(["invariant", "--model", "complex_hyperbolic", "--count", "10000",
+                 "--out", str(out)] + COMMON)
+    assert code == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == "refused: cartan value nan at index 5000 is not finite\n"

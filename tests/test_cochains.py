@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from boundarykit import (ArityTooLarge, Cochain, DegenerateTuple,
+from boundarykit import (ArityTooLarge, Cochain, DegenerateTuple, MixedModels,
                          SamplerExhausted, alternate, alternating_projection,
                          alternation_spot_check, coboundary, cone_homotopy,
                          empirical_sup_defect, model_coboundary, vol2, vol3)
-from boundarykit.hyperbolic import apply_isometry, random_lorentz_isometry
-from boundarykit.sampling import (chart_tuple_sampler, circle_tuple_sampler,
-                                  coordinate_cochain, draw_tuples,
+from boundarykit.hyperbolic import (apply_isometry, boundary_to_chart, is_generic_tuple,
+                                    random_lorentz_isometry)
+from boundarykit.sampling import rejection_loop
+from boundarykit.volume import vol2_batch, vol3_batch
+from boundarykit.sampling import (SphereTupleSampler, chart_tuple_sampler,
+                                  circle_tuple_sampler, coordinate_cochain, draw_tuples,
                                   random_boundary_point,
                                   random_hyperbolic_point,
                                   random_mixed_cochain, random_smooth_cochain)
@@ -222,3 +225,142 @@ def test_sup_defect_budget_exhaustion():
 def test_draw_tuples_budget():
     with pytest.raises(SamplerExhausted):
         draw_tuples(lambda rng: None, np.random.default_rng(0), 3)
+
+
+# ---------------------------------------------------------------------------
+# the batch path: the same tuples, drawn and evaluated as arrays
+
+VOL2 = Cochain(arity=3, evaluator=vol2, batch=vol2_batch)
+VOL3 = Cochain(arity=4, evaluator=vol3, batch=vol3_batch)
+SAMPLERS = {"circle": circle_tuple_sampler(4), "chart": chart_tuple_sampler(5),
+            "circle-rejecting": SphereTupleSampler(2, 4, tol=0.9)}
+
+
+def batch_draws(sampler, seed, n):
+    """The accepted (normals, coords) of n tuples through the batch form."""
+    rng = np.random.default_rng(seed)
+    normals, coords = [], []
+
+    def draw(m):
+        gaussians, points = sampler.draw(rng, m)
+        normals.append(gaussians)
+        coords.append(points)
+        return len(points)
+
+    draws = rejection_loop(draw, n)
+    return np.concatenate(normals), np.concatenate(coords), draws
+
+
+def coordinates(points):
+    return [p.coords if hasattr(p, "coords") else p.direction for p in points]
+
+
+def one_point_at_a_time(sampler):
+    """The sampler as point objects alone build it: one unit vector per point."""
+
+    def sample(rng):
+        points = tuple(random_boundary_point(rng, sampler.dim) for _ in range(sampler.size))
+        if not is_generic_tuple(points, sampler.tol):
+            return None
+        return tuple(map(boundary_to_chart, points)) if sampler.chart else points
+
+    return sample
+
+
+@pytest.mark.parametrize("seed", [1, 6, 77, 12345])
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+def test_batch_draws_are_the_per_tuple_draws_bit_for_bit(name, seed):
+    sampler = SAMPLERS[name]
+    reference = draw_tuples(one_point_at_a_time(sampler), np.random.default_rng(seed), 1000)
+    normals, coords, draws = batch_draws(sampler, seed, 1000)
+    assert np.array_equal(coords, [coordinates(t) for t in reference])
+    tuples = draw_tuples(sampler, np.random.default_rng(seed), 1000)  # one tuple per call
+    assert all(np.array_equal(coordinates(a), coordinates(b)) for a, b in zip(tuples, reference))
+    for i in (0, 999):  # point objects rebuilt from a tuple's draws
+        assert np.array_equal(coordinates(sampler.points(normals[i])), coordinates(reference[i]))
+    assert (draws > 1000) == (name == "circle-rejecting")
+
+
+@pytest.mark.parametrize("seed", [1, 6, 77, 12345])
+def test_batched_coboundaries_match_the_scalar_ones(seed):
+    for f, sampler, tol in ((VOL2, SAMPLERS["circle"], 0.0), (VOL3, SAMPLERS["chart"], 1e-14)):
+        tuples = draw_tuples(sampler, np.random.default_rng(seed), 300)
+        coords = batch_draws(sampler, seed, 300)[1]
+        df = coboundary(f)
+        scalar = np.array([df(*t) for t in tuples])
+        assert np.max(np.abs(df.batch(coords) - scalar)) <= tol
+        per_tuple = empirical_sup_defect(Cochain(f.arity, f.evaluator), sampler, 300, seed)
+        batched = empirical_sup_defect(f, sampler, 300, seed)
+        assert batched.samples == per_tuple.samples == 300
+        assert abs(batched.sup_abs - per_tuple.sup_abs) <= tol
+        assert (batched.sup_abs <= 1e-7) == (per_tuple.sup_abs <= 1e-7)
+        assert batched.sup_abs == abs(df.batch(coords)).max()
+        assert abs(df(*batched.argmax_tuple)) == pytest.approx(batched.sup_abs, abs=tol)
+
+
+def test_batched_coboundary_of_a_non_cocycle_is_the_scalar_one():
+    f = Cochain(arity=2,
+                evaluator=lambda x, y: (x.direction[0] - 2.0 * y.direction[1]
+                                        + x.direction[1] * y.direction[0]),
+                batch=lambda p: p[:, 0, 0] - 2.0 * p[:, 1, 1] + p[:, 0, 1] * p[:, 1, 0])
+    df = coboundary(f)
+    tuples = draw_tuples(circle_tuple_sampler(3), np.random.default_rng(8), 200)
+    expected = [df(*t) for t in tuples]
+    assert max(map(abs, expected)) > 0.5
+    assert df.batch(np.array([coordinates(t) for t in tuples])).tolist() == expected
+
+
+def test_batch_witness_is_the_first_maximizing_tuple():
+    # vol2's coboundary is exactly 0 on every tuple, so the first tuple wins
+    report = empirical_sup_defect(VOL2, SAMPLERS["circle"], 50, seed=4)
+    first = draw_tuples(SAMPLERS["circle"], np.random.default_rng(4), 1)[0]
+    assert report.sup_abs == 0.0
+    assert np.array_equal(coordinates(report.argmax_tuple), coordinates(first))
+
+
+def test_batch_vol3_refuses_chart_coincident_points():
+    p, q, r, s = (np.array(cp.coords) for cp in draw_tuples(
+        chart_tuple_sampler(4), np.random.default_rng(5), 1)[0])
+    good = np.stack([p, q, r, s])
+    bad = np.stack([p, q, q * np.exp(0.3j), s])  # one projective point, twice
+    with pytest.raises(DegenerateTuple, match="points 1 and 2 of tuple 1 coincide"):
+        vol3_batch(np.stack([good, bad]))
+    five = np.stack([good, bad])[:, [0, 1, 2, 3, 3]]  # through the coboundary
+    with pytest.raises(DegenerateTuple):
+        coboundary(VOL3).batch(five)
+
+
+def test_batch_vol2_refuses_points_off_the_circle():
+    with pytest.raises(MixedModels):
+        vol2_batch(np.ones((2, 3, 3)) / np.sqrt(3.0))
+
+
+def test_batch_path_exhausts_at_the_draw_budget():
+    never_generic = SphereTupleSampler(2, 4, tol=3.0)  # chords are at most 2
+    with pytest.raises(SamplerExhausted, match="700 draws produced only 0/7"):
+        empirical_sup_defect(VOL2, never_generic, 7, seed=1)
+
+
+class RecordingSampler(SphereTupleSampler):
+    """Records the size of every batch it draws."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.sizes = []
+
+    def draw(self, rng, m):
+        self.sizes.append(m)
+        return super().draw(rng, m)
+
+
+def test_a_cochain_without_batch_takes_the_per_tuple_path():
+    sampler = RecordingSampler(2, 4)
+    report = empirical_sup_defect(Cochain(arity=3, evaluator=vol2), sampler, 20, seed=3)
+    assert report.samples == 20 and report.sup_abs == 0.0
+    assert sampler.sizes == [1] * 20  # one tuple per sampler call
+    sampler.sizes.clear()
+    assert empirical_sup_defect(VOL2, sampler, 20, seed=3).sup_abs == 0.0
+    assert sampler.sizes == [20]
+    # a batched cochain with a plain sampler function also runs tuple by tuple
+    plain = one_point_at_a_time(sampler)
+    assert empirical_sup_defect(VOL2, plain, 20, seed=3).sup_abs == 0.0

@@ -4,6 +4,7 @@ import pytest
 from boundarykit import (DegenerateTuple, MoebiusMap, ProjectivePoint,
                          SingularMatrix, apply_moebius, cross_ratio,
                          is_infinite, normalize_to_standard)
+from boundarykit.projective import pair_chordal_distance
 
 INF_R = ProjectivePoint.infinity("real")
 
@@ -131,3 +132,13 @@ def test_point_representative_is_stable():
     assert a == b
     assert hash(a) == hash(b)
     assert ProjectivePoint.from_value(float("inf"), "real") == INF_R
+
+
+def test_pair_distances_equal_the_point_distances_bit_for_bit():
+    rng = np.random.default_rng(31)
+    values = rng.standard_normal((2, 3000)) + 1j * rng.standard_normal((2, 3000))
+    values[1, :1000] = values[0, :1000] * (1 + 1e-9 * rng.standard_normal(1000))  # near pairs
+    p = [cp(v) for v in values[0]]
+    q = [cp(v) for v in values[1]]
+    batch = pair_chordal_distance(np.array([x.coords for x in p]), np.array([y.coords for y in q]))
+    assert batch.tolist() == [float(x.chordal_distance(y)) for x, y in zip(p, q)]

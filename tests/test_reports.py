@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -10,7 +13,8 @@ from boundarykit import (ResultColumns, SamplerConfig, UnencodableReport,
                          UnknownInvariant, compactness_probe, emit_report,
                          invariant_values, read_report_csv, read_report_json,
                          sample_tuples, sampling_stats)
-from boundarykit.reports import ReportEnvelope, _write_report, sample_columns
+from boundarykit.reports import (ReportEnvelope, _write_report, sample_columns,
+                                summarize_invariant)
 
 
 def test_config_validation():
@@ -287,3 +291,35 @@ def test_batch_sample_cells_equal_the_flag3_path(seed, size):
     flags = [flag for tup in sample_tuples(config) for flag in tup]
     assert results.columns["line"] == [";".join(map(repr, f.line.tolist())) for f in flags]
     assert results.columns["plane"] == [";".join(map(repr, f.plane.tolist())) for f in flags]
+
+
+def test_a_non_finite_invariant_is_refused_at_its_index():
+    values = np.linspace(-1.0, 1.0, 10_000)
+    values[5_000] = math.nan
+    values[7_000] = math.inf
+    with pytest.raises(UnencodableReport, match="nan at index 5000 is not finite"):
+        summarize_invariant("cartan", values)
+
+
+def test_a_write_that_fails_part_way_leaves_no_file(tmp_path):
+    # RLIMIT_FSIZE is set in the child only: its writes past 100,000 bytes fail
+    child = textwrap.dedent("""
+        import resource, sys
+        import numpy as np
+        from boundarykit.reports import ReportEnvelope, ResultColumns, emit_report
+        resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, 100_000))
+        values = np.linspace(0.0, 1.0, 20_000)
+        env = ReportEnvelope(command="x", seed=0, config={}, summary={},
+                             results=ResultColumns({"index": range(20_000), "value": values}))
+        try:
+            emit_report(env, sys.argv[2], sys.argv[1])
+        except OSError as exc:
+            print(exc.errno)
+    """)
+    for fmt in ("json", "csv"):
+        target = tmp_path / f"report.{fmt}"
+        done = subprocess.run([sys.executable, "-c", child, str(target), fmt],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "27"  # EFBIG: File too large
+        assert list(tmp_path.iterdir()) == []

@@ -209,3 +209,35 @@ def test_vol3_batch_at_the_regular_tetrahedron():
 def test_vol3_batch_rejects_degenerate_cross_ratios(bad):
     with pytest.raises(DegenerateTuple):
         vol3_from_cross_ratio_batch(np.array([0.5 + 0.5j, bad]))
+
+
+# ---------------------------------------------------------------------------
+# the scalar routes are one-element calls of the array kernels
+
+
+def test_lobachevsky_matches_the_clausen_oracle_beyond_pi():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(73)
+    # away from multiples of pi: the reduction is exact modulo the float pi,
+    # which is off by 1.2e-16 times the multiple, where L has a log-singular slope
+    theta = np.concatenate([[0.0, math.pi / 2, -math.pi / 2, 2.5 * math.pi],
+                            rng.uniform(-3 * math.pi, 3 * math.pi, 1996)])
+    assert np.sum(np.abs(theta) > math.pi) > 1000
+    with mpmath.workdps(20):
+        oracle = [float(mpmath.clsin(2, 2 * mpmath.mpf(t)) / 2) for t in theta.tolist()]
+    scalar = [lobachevsky(t) for t in theta.tolist()]
+    assert np.max(np.abs(np.subtract(scalar, oracle))) <= 1e-14
+
+
+def test_vol3_from_cross_ratio_matches_the_bloch_wigner_oracle():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(74)
+    z = np.concatenate([3.0 * (rng.standard_normal(1000) + 1j * rng.standard_normal(1000)),
+                        np.exp(1j * rng.uniform(-math.pi, math.pi, 200))])
+    with mpmath.workdps(30):  # D(z) = Im Li2(z) + arg(1 - z) log|z|
+        oracle = [float(mpmath.im(mpmath.polylog(2, w))
+                        + mpmath.arg(1 - mpmath.mpc(w)) * mpmath.log(abs(mpmath.mpc(w))))
+                  for w in z.tolist()]
+    scalar = [vol3_from_cross_ratio(w) for w in z.tolist()]
+    assert np.max(np.abs(np.subtract(scalar, oracle))) <= 1e-14
+    assert np.all(np.sign(scalar) == np.sign(z.imag))  # positive on the upper half-plane
