@@ -16,12 +16,13 @@ together they satisfy f = H(d f) + d(H f) pointwise.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import ArityTooLarge
+from .errors import ArityTooLarge, EvaluationError
 from .hyperbolic import barycenter_ideal_triangle
 from .projective import EPS_DIST
 
@@ -210,12 +211,17 @@ def empirical_sup_defect(f: Cochain, sampler, n: int, seed: int = 0) -> DefectRe
     `sampler(rng)` must return a tuple of f.arity + 1 points, or None for a
     rejected (non-generic) draw.  Deterministic for a fixed seed; raises
     SamplerExhausted when rejections push the total draw count past
-    sampling.DRAW_BUDGET * n.  With f.batch and a batch sampler (one with
-    `draw`, as `SphereTupleSampler`), the same tuples are handled as arrays.
+    sampling.DRAW_BUDGET * n, and EvaluationError, naming the sample's
+    index, at the first value of delta f that is NaN or infinite.  With
+    f.batch and a batch sampler (one with `draw`, as `SphereTupleSampler`),
+    the same tuples are handled as arrays.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     from .sampling import for_each_tuple, rejection_loop  # sampling imports this module
+
+    def refuse(index, value):
+        raise EvaluationError(f"coboundary value {value!r} at sample {index} is not finite")
 
     g = coboundary(f)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -229,19 +235,27 @@ def empirical_sup_defect(f: Cochain, sampler, n: int, seed: int = 0) -> DefectRe
 
         rejection_loop(draw, n)
         normals, values = map(np.concatenate, zip(*chunks))
+        finite = np.isfinite(values)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            refuse(i, float(values[i]))
         defect = np.abs(values)
-        i = int(np.argmax(np.nan_to_num(defect, nan=-1.0)))  # first maximum; NaNs lose, as below
+        i = int(np.argmax(defect))  # the first maximum, as below
         return DefectReport(sup_abs=float(defect[i]), samples=n,
                             argmax_tuple=sampler.points(normals[i]), seed=seed)
 
     sup_abs = -1.0
     witness = None
+    visited = 0
 
     def visit(candidate):
-        nonlocal sup_abs, witness
-        value = abs(g(*candidate))
-        if value > sup_abs:
-            sup_abs = value
+        nonlocal sup_abs, witness, visited
+        value = g(*candidate)
+        if not math.isfinite(value):
+            refuse(visited, value)
+        visited += 1
+        if abs(value) > sup_abs:
+            sup_abs = abs(value)
             witness = tuple(candidate)
 
     for_each_tuple(sampler, rng, n, visit)

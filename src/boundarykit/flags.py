@@ -149,23 +149,16 @@ def flat_boundary(f1: Flag3, f2: Flag3, tol: float = PAIRING_TOL) -> FlatBoundar
 
 def is_generic_triple(f1: Flag3, f2: Flag3, f3: Flag3,
                       tol: float = PAIRING_TOL) -> bool:
-    """Genericity of a flag triple.
+    """Genericity of a flag triple: `batch_is_generic` on one triple.
 
     Requires pairwise opposition, and for each pair the remaining flag must
     be opposite to every flag in the pair's flat boundary.  Returns False
     (never raises) on failures.
     """
     triple = (f1, f2, f3)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if not is_opposite(triple[i], triple[j], tol):
-                return False
-    for k in range(3):
-        i, j = [m for m in range(3) if m != k]
-        for flag in flat_boundary(triple[i], triple[j], tol).flags:
-            if not is_opposite(triple[k], flag, tol):
-                return False
-    return True
+    lines = np.array([[f.line for f in triple]])
+    planes = np.array([[f.plane for f in triple]])
+    return bool(batch_is_generic(lines, planes, tol)[0])
 
 
 def triple_ratio(f1: Flag3, f2: Flag3, f3: Flag3,
@@ -199,7 +192,9 @@ def random_flag(rng) -> Flag3:
 def batch_random_flags(rng, count: int):
     """(lines, covectors) arrays of `count` random flags, rows normalized."""
     frames = rng.standard_normal((count, 3, 3))
-    q, r = np.linalg.qr(frames)
+    # the flag needs two frame columns; Householder QR of those two gives
+    # the same Q columns and R diagonal as the QR of the whole frame
+    q, r = np.linalg.qr(frames[:, :, :2])
     q = q * np.sign(np.einsum("nii->ni", r))[:, None, :]
     lines = q[:, :, 0]
     planes = np.cross(q[:, :, 0], q[:, :, 1])
@@ -220,26 +215,33 @@ def batch_is_generic(lines, planes, tol: float = PAIRING_TOL) -> np.ndarray:
 
     `lines` and `planes` have shape (count, size, 3) with size 2 or 3;
     index 1 runs over the flags of each tuple.  A pair is generic when it
-    is opposite; a triple also needs the flat-boundary conditions.
+    is opposite; a triple also needs the flat-boundary conditions.  A row
+    whose conditions come out NaN (parallel planes) is not generic.
+
+    Flag k of a triple must be opposite to the six flags
+    (<u_a>, span(u_a, u_b)) of the flat of the other two, whose adapted
+    basis is (u_1, u_2, u_3) = (e_i, unit(phi_i x phi_j), e_j).  Each
+    distinct condition is evaluated once: phi_k(u_a) for a = 1, 3 is a
+    pairwise condition, leaving phi_k(u_2), and psi_ba = -psi_ab exactly,
+    leaving one psi_ab(e_k) per unordered pair {a, b}.
     """
     size = lines.shape[1]
     e = [lines[:, i] for i in range(size)]
     phi = [planes[:, i] for i in range(size)]
     ok = np.ones(lines.shape[0], dtype=bool)
-    for i in range(size):
-        for j in range(size):
-            if i != j:
-                ok &= np.abs(_pair(phi[i], e[j])) > tol
-    if size == 3:
-        for k in range(3):
-            i, j = [m for m in range(3) if m != k]
-            u = (e[i], _rows_unit(np.cross(phi[i], phi[j])), e[j])
-            for a in range(3):
-                for b in range(3):
-                    if a != b:
-                        psi = _rows_unit(np.cross(u[a], u[b]))
-                        ok &= np.abs(_pair(psi, e[k])) > tol
-                        ok &= np.abs(_pair(phi[k], u[a])) > tol
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for i in range(size):
+            for j in range(size):
+                if i != j:
+                    ok &= np.abs(_pair(phi[i], e[j])) > tol
+        if size == 3:
+            for k in range(3):
+                i, j = [m for m in range(3) if m != k]
+                u = (e[i], _rows_unit(np.cross(phi[i], phi[j])), e[j])
+                ok &= np.abs(_pair(phi[k], u[1])) > tol
+                for a, b in ((0, 1), (0, 2), (1, 2)):
+                    psi = _rows_unit(np.cross(u[a], u[b]))
+                    ok &= np.abs(_pair(psi, e[k])) > tol
     return ok
 
 

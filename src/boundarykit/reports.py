@@ -11,8 +11,15 @@ JSON reports are single objects with exactly the keys
 command/seed/config/results/summary/version, in the bytes of
 `json.dump(..., sort_keys=True, indent=2)` plus a newline.  CSV reports
 contain the result rows under a header equal to the row keys;
-`read_report_csv` reads them back.  A refused report or a failed write
-leaves no file (see `emit_report`).
+`read_report_csv` reads them back.
+
+Bulk work runs in blocks of ROW_BLOCK rows, so its working set does not
+grow with the row count beyond the arrays it returns.  The sampler makes
+its random-number calls for a whole batch, then lifts and masks it block
+by block, writing accepted rows into one array.  A report is validated in
+full first (the envelope encoded, every column checked), then written in
+pieces of at most ROW_BLOCK rows; so a refused report writes nothing, and
+a failed write leaves no file (see `emit_report`).
 """
 
 from __future__ import annotations
@@ -43,6 +50,8 @@ ESCAPE_HI_DEFAULT = 1e3
 ESCAPE_LO_DEFAULT = 1e-3
 
 MODELS = ("S1", "Sn", "complex_hyperbolic", "flags3")
+
+ROW_BLOCK = 4096  # rows per block of the bulk row kernels and per written piece
 
 
 @dataclass(frozen=True)
@@ -139,16 +148,9 @@ class ReportEnvelope:
 # vectorized candidate generation
 
 
-def _batch_sphere(rng, m: int, size: int, dim: int):
-    v = rng.standard_normal((m, size, dim))
-    return v / np.linalg.norm(v, axis=2, keepdims=True)
-
-
-def _batch_complex(rng, m: int, size: int, dim: int):
-    w = rng.standard_normal((m, size, dim)) + 1j * rng.standard_normal((m, size, dim))
-    w = w / np.linalg.norm(w, axis=2, keepdims=True)
-    lifts = np.concatenate([w, np.ones((m, size, 1))], axis=2) / math.sqrt(2.0)
-    return lifts
+def _blocks(n: int):
+    """Slices of at most ROW_BLOCK consecutive rows, covering range(n) in order."""
+    return (slice(start, min(start + ROW_BLOCK, n)) for start in range(0, n, ROW_BLOCK))
 
 
 def _batch_flags(rng, m: int, size: int):
@@ -159,42 +161,70 @@ def _batch_flags(rng, m: int, size: int):
     return lines, planes
 
 
+def _complex_lifts(re, im):
+    """Unit null lifts (w, 1)/sqrt(2) of the ball directions w = unit(re + i im)."""
+    w = re + 1j * im
+    w = w / np.linalg.norm(w, axis=2, keepdims=True)
+    return np.concatenate([w, np.ones(w.shape[:2] + (1,))], axis=2) / math.sqrt(2.0)
+
+
+def _draw_candidates(config: SamplerConfig, rng, m: int) -> tuple:
+    """The random-number calls for m candidate tuples, one call per array."""
+    if config.model == "flags3":
+        return _batch_flags(rng, m, config.tuple_size)
+    shape = (m, config.tuple_size, 2 if config.model == "S1" else config.dim)
+    if config.model == "complex_hyperbolic":
+        return rng.standard_normal(shape), rng.standard_normal(shape)
+    return (rng.standard_normal(shape),)
+
+
+def _accept_rows(config: SamplerConfig, *rows):
+    """(points, mask) of a block of rows of the candidate arrays.
+
+    points are the rows' point arrays: (lines, planes) for flags3, else
+    the complex lifts or the unit directions alone; mask marks the generic
+    rows.
+    """
+    if config.model == "flags3":
+        return rows, flags_mod.batch_is_generic(*rows, config.tolerance)
+    if config.model == "complex_hyperbolic":
+        points, distance = _complex_lifts(*rows), complex_chordal_distance
+    else:
+        (v,) = rows
+        points, distance = v / np.linalg.norm(v, axis=2, keepdims=True), real_chordal_distance
+    return (points,), _mask_generic(points, config.tolerance, distance)
+
+
 def _accepted_batches(config: SamplerConfig):
     """Draw candidate batches until `count` tuples are accepted.
 
-    Returns (list_of_accepted_arrays, draws, accepted); raises
-    SamplerExhausted past sampling.DRAW_BUDGET * count draws.
+    Returns (data, draws, accepted).  data holds the accepted tuples in
+    draw order: a (count, size, k) array of points, or (lines, planes) for
+    flags3.  Each batch makes the same random-number calls as one array
+    draw; its row kernels then run over blocks of ROW_BLOCK rows, each
+    writing its accepted rows straight into data.  Raises SamplerExhausted
+    past sampling.DRAW_BUDGET * count draws.
     """
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    chunks = []
+    data = []
+    filled = 0
 
     def draw(m):
-        if config.model == "flags3":
-            lines, planes = _batch_flags(rng, m, config.tuple_size)
-            mask = flags_mod.batch_is_generic(lines, planes, config.tolerance)
-            chunks.append((lines[mask], planes[mask]))
-            return int(mask.sum())
-        if config.model == "complex_hyperbolic":
-            batch = _batch_complex(rng, m, config.tuple_size, config.dim)
-            distance = complex_chordal_distance
-        else:
-            dim = 2 if config.model == "S1" else config.dim
-            batch = _batch_sphere(rng, m, config.tuple_size, dim)
-            distance = real_chordal_distance
-        mask = _mask_generic(batch, config.tolerance, distance)
-        chunks.append(batch[mask])
-        return int(mask.sum())
+        nonlocal filled
+        start = filled
+        candidates = _draw_candidates(config, rng, m)
+        for rows in _blocks(m):
+            points, keep = _accept_rows(config, *(a[rows] for a in candidates))
+            if not data:
+                data.extend(np.empty((config.count, *p.shape[1:]), p.dtype) for p in points)
+            hits = int(np.count_nonzero(keep))
+            for target, p in zip(data, points):
+                target[filled:filled + hits] = p[keep]
+            filled += hits
+        return filled - start
 
     draws = rejection_loop(draw, config.count)
-    return chunks, draws, config.count
-
-
-def _concat_chunks(config: SamplerConfig, chunks):
-    if config.model == "flags3":
-        lines = np.concatenate([c[0] for c in chunks])[:config.count]
-        planes = np.concatenate([c[1] for c in chunks])[:config.count]
-        return lines, planes
-    return np.concatenate(chunks)[:config.count]
+    return (tuple(data) if config.model == "flags3" else data[0]), draws, config.count
 
 
 def _acceptance(draws: int, accepted: int) -> dict:
@@ -208,7 +238,7 @@ def sampling_stats(config: SamplerConfig) -> dict:
 
 
 def _point_objects(config: SamplerConfig, data):
-    """Tuples of point objects from the sampler's concatenated arrays."""
+    """Tuples of point objects from the sampler's arrays."""
     if config.model == "flags3":
         lines, planes = data
         return [tuple(Flag3(lines[i, j], planes[i, j]) for j in range(config.tuple_size))
@@ -219,7 +249,7 @@ def _point_objects(config: SamplerConfig, data):
 
 def sample_tuples(config: SamplerConfig):
     """Exactly `count` generic tuples of point objects, deterministic per seed."""
-    return _point_objects(config, _concat_chunks(config, _accepted_batches(config)[0]))
+    return _point_objects(config, _accepted_batches(config)[0])
 
 
 def _format_vector(v, scalar=float) -> str:
@@ -239,8 +269,7 @@ def sample_columns(config: SamplerConfig):
     coordinates: a flag's sign-normalized line and covector, a complex
     point's normalized lift, or a real point's unit direction.
     """
-    chunks, draws, accepted = _accepted_batches(config)
-    data = _concat_chunks(config, chunks)
+    data, draws, accepted = _accepted_batches(config)
     count, size = config.count, config.tuple_size
     columns = {"tuple_index": np.repeat(np.arange(count), size),
                "point_index": np.tile(np.arange(size), count)}
@@ -274,7 +303,7 @@ def invariant_values(config: SamplerConfig, invariant_name: str) -> np.ndarray:
         raise UnknownInvariant(f"{invariant_name} is defined on {model} triples")
     if config.tuple_size != 3:
         raise ValueError(f"{invariant_name} needs triples")
-    data = _concat_chunks(config, _accepted_batches(config)[0])
+    data = _accepted_batches(config)[0]
     if invariant_name == "orientation_class":
         return np.sign(circle_orientation(*data.transpose(1, 2, 0)))
     if invariant_name == "cartan":
@@ -361,16 +390,17 @@ def compactness_probe(model: str, invariant_name: str, config: SamplerConfig,
 def emit_report(envelope: ReportEnvelope, format: str, path) -> None:
     """Write the envelope as canonical JSON or flattened CSV.
 
-    It is encoded in full, then written beside `path` and renamed over it,
-    so a refused report or a write that fails part-way leaves no file.
+    It is validated in full, then written piece by piece beside `path` and
+    renamed over it, so a refused report or a write that fails part-way
+    leaves no file.
     """
-    text = _report_text(envelope, format)
+    pieces = _report_pieces(envelope, format)
     partial = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         # csv ends each line with "\n" itself; JSON gets the platform's newline
         with open(partial, "w", encoding="utf-8",
                   newline="" if format == "csv" else None) as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(partial, path)
     finally:
         if os.path.exists(partial):
@@ -379,83 +409,141 @@ def emit_report(envelope: ReportEnvelope, format: str, path) -> None:
 
 def _write_report(envelope: ReportEnvelope, format: str, stream) -> None:
     """Write the envelope to a text stream, for arguments emit_report accepts."""
-    text = _report_text(envelope, format)
-    # a write larger than the stream's buffer to a pipe whose reader has
-    # closed can stop short without raising BrokenPipeError; smaller writes
-    # raise it
-    for start in range(0, len(text), io.DEFAULT_BUFFER_SIZE):
-        stream.write(text[start:start + io.DEFAULT_BUFFER_SIZE])
+    for piece in _report_pieces(envelope, format):
+        # a write larger than the stream's buffer to a pipe whose reader has
+        # closed can stop short without raising BrokenPipeError; smaller
+        # writes raise it
+        for start in range(0, len(piece), io.DEFAULT_BUFFER_SIZE):
+            stream.write(piece[start:start + io.DEFAULT_BUFFER_SIZE])
 
 
-def _report_text(envelope: ReportEnvelope, format: str) -> str:
+def _report_pieces(envelope: ReportEnvelope, format: str):
+    """The report's text as an iterator of pieces, once all of it is validated.
+
+    Row lists are encoded in full here, as one piece.  For ResultColumns,
+    the column names and every column are checked and the rest of the
+    envelope is encoded; each later piece then holds at most ROW_BLOCK
+    rows.  A refusal raises here, before anything is written.
+    """
     if format not in ("json", "csv"):
         raise ValueError(f"unknown report format {format!r}")
+    results = envelope.results
+    if format == "csv" and not results:
+        raise ValueError("cannot emit CSV for an empty results list")
+    if not isinstance(results, ResultColumns):
+        return iter([_rows_text(envelope, format)])
+    for column in (list(results.columns), *results.columns.values()):
+        _check_column(column, format)
     if format == "csv":
-        if not envelope.results:
-            raise ValueError("cannot emit CSV for an empty results list")
-        return _csv_text(envelope.results)
+        return _csv_pieces(results)
+    return _json_pieces(results, _json_text({**vars(envelope), "results": []}))
+
+
+def _check_column(column, format: str) -> None:
+    """Refuse a column of cells that `format` cannot hold.
+
+    JSON takes scalars only (TypeError) and no NaN or infinity.  CSV,
+    written with "\\n" line ends, leaves a carriage return unquoted, where
+    a reader takes it for a line end.
+    """
+    if isinstance(column, range):
+        return
+    if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
+        if format == "json" and column.dtype.kind == "f" and not np.isfinite(column).all():
+            _refuse_float(float(column[~np.isfinite(column)][0]))
+        return
+    values = _plain(column)
+    kinds = set(map(type, values))
+    if format == "csv":
+        if any(issubclass(kind, str) for kind in kinds):
+            bad = next((v for v in values if isinstance(v, str) and "\r" in v), None)
+            if bad is not None:
+                raise UnencodableReport(f"CSV cannot hold the carriage return in {bad!r}")
+        return
+    if not all(issubclass(kind, (str, int, float, type(None))) for kind in kinds):
+        raise TypeError("result columns hold JSON scalars only")
+    if any(issubclass(kind, float) for kind in kinds):
+        bad = next((v for v in values if isinstance(v, float) and not math.isfinite(v)), None)
+        if bad is not None:
+            _refuse_float(bad)
+
+
+def _refuse_float(value: float):
+    raise UnencodableReport(f"Out of range float values are not JSON compliant: {value!r}")
+
+
+def _json_text(data) -> str:
+    """json.dump(sort_keys=True, indent=2) text of `data`, plus a newline."""
     try:
-        return _json_text(envelope)
+        return json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:  # NaN and infinities are not JSON
         raise UnencodableReport(str(exc)) from exc
 
 
-def _json_text(envelope: ReportEnvelope) -> str:
-    """The bytes of json.dump(sort_keys=True, indent=2, allow_nan=False) + "\n".
+def _rows_text(envelope: ReportEnvelope, format: str) -> str:
+    """The whole report for a list of row dicts; CSV has the first row's keys as header."""
+    if format == "json":
+        return _json_text(envelope.to_dict())
+    rows = envelope.results
+    for row in rows:
+        _check_column([*row, *row.values()], format)
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buffer.getvalue()
 
-    Row lists go through json.dumps.  ResultColumns are encoded column by
-    column, one %-template per row, and spliced into the rest of the
-    envelope, which json.dumps encodes with an empty results list.
+
+def _json_pieces(results: ResultColumns, text: str):
+    """JSON `text` of the envelope with results [], and the rows spliced in.
+
+    The rows are encoded column by column, one %-template per row, ROW_BLOCK
+    rows per piece, in the bytes of json.dump(sort_keys=True, indent=2).
     """
-    results = envelope.results
-    if not isinstance(results, ResultColumns):
-        return json.dumps(envelope.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
-    text = json.dumps({**vars(envelope), "results": []},
-                      sort_keys=True, indent=2, allow_nan=False) + "\n"
     if not len(results):
-        return text
+        yield text
+        return
     names = sorted(results.columns)
     # rows sit at depth 2 of the envelope and their keys at depth 3
     template = ("    {\n" + ",\n".join(
         "      " + encode_basestring_ascii(name).replace("%", "%%") + ": %s"
         for name in names) + "\n    }")
-    rows = map(template.__mod__,
-               zip(*(_json_cells(results.columns[name]) for name in names)))
     # only top-level keys are indented by exactly two spaces
     head, tail = text.split('\n  "results": []', 1)
-    return "".join([head, '\n  "results": [\n', ",\n".join(rows), "\n  ]", tail])
+    opening = head + '\n  "results": [\n'
+    for rows in _blocks(len(results)):
+        cells = (_json_cells(results.columns[name][rows]) for name in names)
+        yield opening + ",\n".join(map(template.__mod__, zip(*cells)))
+        opening = ",\n"
+    yield "\n  ]" + tail
 
 
 def _json_cells(column) -> list:
-    """JSON text of each cell of a column, as json.dumps writes it."""
+    """JSON text of each cell of a checked column, as json.dumps writes it."""
     values = _plain(column)
     kinds = set(map(type, values))
     if kinds == {float}:
-        if not all(map(math.isfinite, values)):
-            bad = next(v for v in values if not math.isfinite(v))
-            raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
         return list(map(float.__repr__, values))
     if kinds == {int}:
         return list(map(int.__repr__, values))
     if kinds == {str}:
         return list(map(encode_basestring_ascii, values))
-    if not all(isinstance(v, (str, int, float, type(None))) for v in values):
-        raise TypeError("result columns hold JSON scalars only")
-    return [json.dumps(v, allow_nan=False) for v in values]
+    return [json.dumps(v) for v in values]
 
 
-def _csv_text(results) -> str:
-    """CSV of the rows under a header of the row keys; floats written by repr."""
+def _csv_pieces(results: ResultColumns):
+    """CSV of the columns under a header of their names, ROW_BLOCK rows per piece.
+
+    Floats are written by repr.
+    """
     buffer = io.StringIO()
-    if isinstance(results, ResultColumns):
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(results.columns)
-        writer.writerows(zip(*map(_plain, results.columns.values())))
-    else:
-        writer = csv.DictWriter(buffer, fieldnames=list(results[0]), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(results)
-    return buffer.getvalue()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(results.columns)
+    for rows in _blocks(len(results)):
+        writer.writerows(zip(*(_plain(column[rows]) for column in results.columns.values())))
+        yield buffer.getvalue()
+        buffer.seek(0)
+        buffer.truncate()
 
 
 def read_report_json(path) -> ReportEnvelope:

@@ -8,6 +8,8 @@ ratio z as the sum of Lobachevsky values at the three dihedral angles
     Vol_3 = L(arg z) + L(arg 1/(1-z)) + L(arg (1-1/z)),
 
 with sign convention sign(Im z) and value 0 for real z (flat simplex).
+Since L is pi-periodic, each angle is taken modulo pi, as arctan(Im u / Re u)
+of u = z, 1/(1-z) and (z-1)/z, so the kernel never shifts by the float pi.
 
 One kernel evaluates the Lobachevsky function: `lobachevsky_batch`, a
 zeta-accelerated expansion exact to machine precision.  Each scalar
@@ -127,8 +129,14 @@ def vol3_from_cross_ratio_batch(z: np.ndarray) -> np.ndarray:
     volume = np.zeros(z.shape)
     nonreal = z.imag != 0.0
     w = z[nonreal]
-    # the three dihedral angles in one kernel call, so a single z costs one
-    angles = lobachevsky_batch(np.angle(np.stack([w, 1.0 / (1.0 - w), 1.0 - 1.0 / w])))
+    # the three dihedral angles in one kernel call, so a single z costs one;
+    # (w - 1) / w is 1 - 1/w without its cancellation near w = 1
+    u = np.stack([w, 1.0 / (1.0 - w), (w - 1.0) / w])
+    # L is pi-periodic, so L(arg u) = L(arctan(Im u / Re u)), an angle in
+    # [-pi/2, pi/2]: no shift by the float pi, which is off by 1.2e-16 where
+    # L has a log-singular slope
+    with np.errstate(divide="ignore"):  # Re u = 0 gives arctan(+-inf) = +-pi/2
+        angles = lobachevsky_batch(np.arctan(u.imag / u.real))
     volume[nonreal] = angles[0] + angles[1] + angles[2]
     return volume
 

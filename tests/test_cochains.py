@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from boundarykit import (ArityTooLarge, Cochain, DegenerateTuple, MixedModels,
-                         SamplerExhausted, alternate, alternating_projection,
+from boundarykit import (ArityTooLarge, Cochain, DegenerateTuple, EvaluationError,
+                         MixedModels, SamplerExhausted, alternate, alternating_projection,
                          alternation_spot_check, coboundary, cone_homotopy,
                          empirical_sup_defect, model_coboundary, vol2, vol3)
 from boundarykit.hyperbolic import (apply_isometry, boundary_to_chart, is_generic_tuple,
@@ -364,3 +364,20 @@ def test_a_cochain_without_batch_takes_the_per_tuple_path():
     # a batched cochain with a plain sampler function also runs tuple by tuple
     plain = one_point_at_a_time(sampler)
     assert empirical_sup_defect(VOL2, plain, 20, seed=3).sup_abs == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_coboundary_value_is_refused_at_its_sample(bad):
+    # bad wherever the first point is near (1, 0), 0 elsewhere
+    f = Cochain(arity=3, evaluator=lambda x, y, z: bad if x.direction[0] > 0.999 else 0.0,
+                batch=lambda p: np.where(p[:, 0, 0] > 0.999, bad, 0.0))
+    sampler = SAMPLERS["circle"]
+    df = coboundary(f)
+    values = [df(*t) for t in draw_tuples(sampler, np.random.default_rng(11), 400)]
+    first = next(i for i, v in enumerate(values) if not np.isfinite(v))
+    assert 10 < first < 300
+    message = f"coboundary value {values[first]!r} at sample {first} is not finite"
+    with pytest.raises(EvaluationError, match=message), np.errstate(invalid="ignore"):
+        empirical_sup_defect(f, sampler, 400, seed=11)  # inf - inf is NaN
+    with pytest.raises(EvaluationError, match=message):
+        empirical_sup_defect(Cochain(3, f.evaluator), sampler, 400, seed=11)

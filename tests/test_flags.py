@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,55 @@ def test_genericity_is_permutation_invariant():
         expected = is_generic_triple(*t)
         assert is_generic_triple(t[1], t[2], t[0]) == expected
         assert is_generic_triple(t[2], t[1], t[0]) == expected
+
+
+def generic_by_definition(f1, f2, f3):
+    """Genericity from its definition: pairwise opposition, then each flag
+    opposite to the six flags of the flat boundary of the other two."""
+    triple = (f1, f2, f3)
+    if not all(is_opposite(triple[i], triple[j]) for i, j in ((0, 1), (0, 2), (1, 2))):
+        return False
+    return all(is_opposite(triple[k], flag)
+               for k in range(3)
+               for flag in flat_boundary(*(triple[m] for m in range(3) if m != k)).flags)
+
+
+def non_generic_triples(rng, pairs):
+    """Triples that fail one flat-boundary condition each, the bad flag in every slot."""
+    out = []
+    for _ in range(pairs):
+        f1, f2 = random_flag(rng), random_flag(rng)
+        flat = flat_boundary(f1, f2)
+        u1, u2, u3 = flat.basis.T
+        v = rng.standard_normal(3)
+        bad = list(flat.flags) + [
+            f1,                              # a repeated flag
+            Flag3.from_basis(u2, v),         # line on u2
+            Flag3.from_basis(v, u2),         # plane through u2
+            Flag3.from_basis(u1 + u3, v),    # line in span(u1, u3)
+        ]
+        for third in bad:
+            out += [(f1, f2, third), (f1, third, f2), (third, f1, f2)]
+    return out
+
+
+def test_is_generic_triple_matches_the_flat_boundary_definition():
+    rng = np.random.default_rng(57)
+    random_triples = [random_triple(rng) for _ in range(2000)]
+    expected = [generic_by_definition(*t) for t in random_triples]
+    assert [is_generic_triple(*t) for t in random_triples] == expected
+    assert sum(expected) >= 1990
+    constructed = non_generic_triples(rng, 30)
+    assert not any(generic_by_definition(*t) for t in constructed)
+    assert not any(is_generic_triple(*t) for t in constructed)
+
+
+def test_is_generic_triple_returns_false_on_parallel_planes_without_warning():
+    same_plane = Flag3.from_basis(E2, E1)  # the plane of F_12, another line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not is_generic_triple(F_12, same_plane, F_32)
+        assert not is_generic_triple(F_12, F_12, F_12)
 
 
 # ---------------------------------------------------------------------------

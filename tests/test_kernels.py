@@ -82,7 +82,9 @@ def test_complex_chordal_kernel_matches_the_point_method():
 
 def test_complex_batch_mask_agrees_with_is_generic_tuple():
     tol = 0.5
-    batch = reports._batch_complex(np.random.default_rng(8), 400, 3, 2)
+    rng = np.random.default_rng(8)
+    batch = reports._complex_lifts(rng.standard_normal((400, 3, 2)),
+                                   rng.standard_normal((400, 3, 2)))
     points = [tuple(ComplexBoundaryPoint(lift) for lift in row) for row in batch]
     mask = reports._mask_generic(batch, tol, complex_chordal_distance)
     assert mask.tolist() == [is_generic_tuple(t, tol) for t in points]

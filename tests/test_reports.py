@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -323,3 +324,52 @@ def test_a_write_that_fails_part_way_leaves_no_file(tmp_path):
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "27"  # EFBIG: File too large
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("results", [
+    ResultColumns({"note": ["fine", "carriage\rreturn"]}),
+    ResultColumns({"a\rb": [1, 2]}),
+    [{"note": "fine"}, {"note": "carriage\rreturn"}],
+])
+def test_csv_refuses_a_carriage_return(tmp_path, results):
+    # written unquoted with "\n" line ends, a reader would take it for a line end
+    env = ReportEnvelope(command="x", seed=0, config={}, results=results, summary={})
+    with pytest.raises(UnencodableReport, match="carriage return"):
+        emit_report(env, "csv", tmp_path / "r.csv")
+    assert list(tmp_path.iterdir()) == []
+    stream = io.StringIO()
+    with pytest.raises(UnencodableReport, match="carriage return"):
+        _write_report(env, "csv", stream)
+    assert stream.getvalue() == ""
+    emit_report(env, "json", tmp_path / "r.json")  # JSON escapes it
+    assert read_report_json(tmp_path / "r.json").results == list(results)
+
+
+# ---------------------------------------------------------------------------
+# the working set of a bulk report does not grow with its rows
+
+
+def traced_peak_mb(fn):
+    """Peak traced allocation of fn() in MB; numpy arrays are traced too."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_emitting_a_100k_row_report_stays_below_4_mb(tmp_path):
+    values = np.random.default_rng(3).uniform(-1.5, 1.5, 100_000)
+    results, summary = summarize_invariant("cartan", values)
+    env = ReportEnvelope(command="invariant", seed=3, config={}, results=results,
+                         summary=summary)
+    # the text alone is 7 MB
+    assert traced_peak_mb(lambda: emit_report(env, "json", tmp_path / "r.json")) < 4.0
+    assert (tmp_path / "r.json").stat().st_size > 6_000_000
+
+
+def test_sampling_100k_complex_triples_stays_below_40_mb():
+    config = SamplerConfig(model="complex_hyperbolic", count=100_000, seed=3, dim=3)
+    # the two Gaussian draws take 14.4 MB and the accepted lifts 19.2 MB
+    assert traced_peak_mb(lambda: invariant_values(config, "cartan")) < 40.0

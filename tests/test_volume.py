@@ -241,3 +241,25 @@ def test_vol3_from_cross_ratio_matches_the_bloch_wigner_oracle():
     scalar = [vol3_from_cross_ratio(w) for w in z.tolist()]
     assert np.max(np.abs(np.subtract(scalar, oracle))) <= 1e-14
     assert np.all(np.sign(scalar) == np.sign(z.imag))  # positive on the upper half-plane
+
+
+def bloch_wigner(z, mpmath):
+    """D(z) = Im Li2(z) + arg(1 - z) log|z| at 40 digits, rounded to a float."""
+    with mpmath.workdps(40):
+        w = mpmath.mpc(z)
+        return float(mpmath.im(mpmath.polylog(2, w)) + mpmath.arg(1 - w) * mpmath.log(abs(w)))
+
+
+def test_vol3_from_cross_ratio_near_one_matches_the_bloch_wigner_oracle():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(75)
+    # 1 + r e^{i phi} for r from 1e-8 to 0.1, including phi near 0 and pi,
+    # where one dihedral angle is near a multiple of pi
+    r = 10.0 ** rng.uniform(-8.0, -1.0, 600)
+    phi = np.concatenate([rng.uniform(-math.pi, math.pi, 400),
+                          rng.choice([0.0, math.pi], 200) + rng.uniform(-1e-3, 1e-3, 200)])
+    z = np.concatenate([[0.99980 - 0.00031j], 1.0 + r * np.exp(1j * phi)])
+    oracle = np.array([bloch_wigner(w, mpmath) for w in z.tolist()])
+    assert np.max(np.abs(vol3_from_cross_ratio_batch(z) - oracle)) <= 1e-15
+    scalar = [vol3_from_cross_ratio(w) for w in z[:50].tolist()]
+    assert np.max(np.abs(np.subtract(scalar, oracle[:50]))) <= 1e-15
