@@ -179,10 +179,9 @@ def triple_ratio(f1: Flag3, f2: Flag3, f3: Flag3,
 
 
 def random_flag(rng) -> Flag3:
-    """Flag of a Haar-random orthonormal frame (QR of a Gaussian matrix)."""
-    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-    q = q * np.sign(np.diag(r))
-    return Flag3.from_basis(q[:, 0], q[:, 1])
+    """Flag of a Haar-random orthonormal frame: one row of batch_random_flags."""
+    lines, planes = batch_random_flags(rng, 1)
+    return Flag3(lines[0], planes[0])
 
 
 # ---------------------------------------------------------------------------
@@ -190,15 +189,19 @@ def random_flag(rng) -> Flag3:
 
 
 def batch_random_flags(rng, count: int):
-    """(lines, covectors) arrays of `count` random flags, rows normalized."""
+    """(lines, covectors) arrays of `count` Haar-random flags, rows normalized.
+
+    The flag of the orthonormal frame Q of a Gaussian matrix with columns
+    (a, b, c), Q taken from the QR factorization with R's diagonal made
+    positive (Mezzadri 2007), is spanned by Q's first two columns, which
+    Gram-Schmidt gives in closed form: the line is a / |a| and the plane
+    has covector (a x b) / |a x b|.  No factorization is needed.
+    """
     frames = rng.standard_normal((count, 3, 3))
-    # the flag needs two frame columns; Householder QR of those two gives
-    # the same Q columns and R diagonal as the QR of the whole frame
-    q, r = np.linalg.qr(frames[:, :, :2])
-    q = q * np.sign(np.einsum("nii->ni", r))[:, None, :]
-    lines = q[:, :, 0]
-    planes = np.cross(q[:, :, 0], q[:, :, 1])
-    planes /= np.linalg.norm(planes, axis=1, keepdims=True)
+    a, b = frames[:, :, 0], frames[:, :, 1]
+    lines = a / np.sqrt(np.vecdot(a, a))[:, None]
+    planes = np.cross(a, b)
+    planes /= np.sqrt(np.vecdot(planes, planes))[:, None]
     return lines, planes
 
 
@@ -226,8 +229,9 @@ def batch_is_generic(lines, planes, tol: float = PAIRING_TOL) -> np.ndarray:
     leaving one psi_ab(e_k) per unordered pair {a, b}.
     """
     size = lines.shape[1]
-    e = [lines[:, i] for i in range(size)]
-    phi = [planes[:, i] for i in range(size)]
+    # contiguous copies: np.cross runs faster on them than on strided views
+    e = [np.ascontiguousarray(lines[:, i]) for i in range(size)]
+    phi = [np.ascontiguousarray(planes[:, i]) for i in range(size)]
     ok = np.ones(lines.shape[0], dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore"):
         for i in range(size):

@@ -231,7 +231,9 @@ def cartan_invariant_batch(lifts_x, lifts_y, lifts_z) -> np.ndarray:
     """Vectorized Cartan invariant for stacked unit null lifts (rows)."""
     prod = -(hermitian_product(lifts_x, lifts_y) * hermitian_product(lifts_y, lifts_z)
              * hermitian_product(lifts_z, lifts_x))
-    return np.angle(prod)
+    # Re(prod) >= 0 exactly; on chains it is 0 and rounding can make it
+    # negative, which would put the angle past +-pi/2
+    return np.clip(np.angle(prod), -math.pi / 2, math.pi / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +399,11 @@ def restrict_to_h3(x0: RealBoundaryPoint, x1: RealBoundaryPoint,
 
     metric = np.diag(np.append(np.ones(n), -1.0))
     gram = span.T @ metric @ span
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    if np.any(np.abs(eigvals) < 1e-10):
-        raise SignatureError("restricted form is numerically degenerate")
-    if int(np.sum(eigvals < 0)) != 1:
-        raise SignatureError("restricted form is not Lorentzian")
+    eigvals, eigvecs = np.linalg.eigh(gram)  # ascending
+    # Lorentzian: one eigenvalue negative, the others positive, none within
+    # 1e-10 of zero
+    if not (eigvals[0] <= -1e-10 and eigvals[1] >= 1e-10):
+        raise SignatureError("restricted form is degenerate or not Lorentzian")
 
     # ambient vectors diagonalizing the restricted form
     neg_vec = span @ eigvecs[:, 0] / math.sqrt(-eigvals[0])

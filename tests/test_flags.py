@@ -3,9 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from boundarykit import (Flag3, NotGeneric, NotOpposite, flat_boundary,
-                         is_generic_triple, is_opposite, random_flag,
-                         triple_ratio)
+from boundarykit import (Flag3, NotGeneric, NotOpposite, SamplerConfig,
+                         flat_boundary, is_generic_triple, is_opposite,
+                         random_flag, sampling_stats, triple_ratio)
 from boundarykit.flags import (batch_is_generic, batch_normalize_flags,
                                batch_random_flags, batch_triple_ratio)
 
@@ -252,6 +252,45 @@ def test_triple_ratio_rejects_non_generic():
         triple_ratio(F_12, F_32, third)
 
 
+def sampled_generic_triples(seed, n):
+    """The generic triples among n triples of batch_random_flags."""
+    rng = np.random.default_rng(seed)
+    lines = np.empty((n, 3, 3))
+    planes = np.empty((n, 3, 3))
+    for i in range(3):
+        lines[:, i], planes[:, i] = batch_random_flags(rng, n)
+    keep = batch_is_generic(lines, planes)
+    assert keep.mean() > 0.99
+    return lines[keep], planes[keep]
+
+
+def test_batch_triple_ratio_cyclic_invariance_and_transposition():
+    lines, planes = sampled_generic_triples(63, 20_000)
+    t = batch_triple_ratio(lines, planes)
+    # the same three pairings multiplied in another order: a few ulps apart
+    cyclic = [1, 2, 0]
+    np.testing.assert_allclose(batch_triple_ratio(lines[:, cyclic], planes[:, cyclic]),
+                               t, rtol=1e-14, atol=0)
+    swapped = [1, 0, 2]
+    np.testing.assert_allclose(batch_triple_ratio(lines[:, swapped], planes[:, swapped]) * t,
+                               1.0, rtol=1e-14, atol=0)
+
+
+def test_batch_triple_ratio_sl3_invariance():
+    lines, planes = sampled_generic_triples(64, 20_000)
+    t = batch_triple_ratio(lines, planes)
+    # each pairing phi_i(e_j) moves by about cond(g) eps relative to its own
+    # size, so the ratio by cond(g) eps times the sum of their reciprocals
+    inv_pairings = sum(1.0 / np.abs(np.einsum("ni,ni->n", planes[:, i], lines[:, j]))
+                       for i in range(3) for j in range(3) if i != j)
+    rng = np.random.default_rng(65)
+    for _ in range(5):
+        g = random_sl3(rng)
+        moved = batch_triple_ratio(lines @ g.T, planes @ np.linalg.inv(g))
+        bound = 8 * np.linalg.cond(g) * np.finfo(float).eps * inv_pairings
+        assert np.all(np.abs(moved / t - 1.0) <= bound)
+
+
 # ---------------------------------------------------------------------------
 # batch kernels agree with the scalar path
 
@@ -302,6 +341,94 @@ def test_batch_random_flags_are_valid():
     assert np.allclose(np.linalg.norm(lines, axis=1), 1.0, atol=1e-12)
     assert np.allclose(np.linalg.norm(planes, axis=1), 1.0, atol=1e-12)
     assert np.max(np.abs(np.einsum("ni,ni->n", lines, planes))) <= 1e-12
+
+
+def qr_flags(frames):
+    """Flags of the QR frames with R's diagonal made positive: the
+    definition the sampler's closed form must match."""
+    q, r = np.linalg.qr(frames)
+    q = q * np.sign(np.einsum("nii->ni", r))[:, None, :]
+    planes = np.cross(q[:, :, 0], q[:, :, 1])
+    return q[:, :, 0], planes / np.linalg.norm(planes, axis=1, keepdims=True)
+
+
+def exact_flags(frames):
+    """The same flags in np.longdouble, as a reference."""
+    a = frames[:, :, 0].astype(np.longdouble)
+    c = np.cross(a, frames[:, :, 1].astype(np.longdouble))
+    return (a / np.sqrt(np.sum(a * a, axis=1))[:, None],
+            c / np.sqrt(np.sum(c * c, axis=1))[:, None])
+
+
+def test_batch_random_flags_agree_with_the_qr_frame():
+    n = 20_000
+    frames = np.random.default_rng(60).standard_normal((n, 3, 3))
+    lines, planes = batch_random_flags(np.random.default_rng(60), n)
+    a, b = frames[:, :, 0], frames[:, :, 1]
+    sine = np.linalg.norm(np.cross(a, b), axis=1) / (
+        np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
+    keep = sine > 1e-3  # columns not nearly parallel
+    assert keep.mean() > 0.99
+    q_lines, q_planes = qr_flags(frames)
+    assert np.max(np.abs(lines - q_lines)[keep]) <= 1e-12
+    assert np.max(np.abs(planes - q_planes)[keep]) <= 1e-12
+
+
+def test_batch_random_flags_are_as_close_to_exact_as_the_qr_frame():
+    if np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps:
+        pytest.skip("np.longdouble is no wider than float64 here")
+    n = 100_000
+    frames = np.random.default_rng(61).standard_normal((n, 3, 3))
+    exact_lines, exact_planes = exact_flags(frames)
+
+    def errors(flags):
+        lines, planes = flags
+        return (np.max(np.abs(lines - exact_lines), axis=1).astype(np.float64),
+                np.max(np.abs(planes - exact_planes), axis=1).astype(np.float64))
+
+    line_err, plane_err = errors(batch_random_flags(np.random.default_rng(61), n))
+    qr_line_err, qr_plane_err = errors(qr_flags(frames))
+    assert line_err.max() <= qr_line_err.max()
+    assert np.quantile(plane_err, 0.99) <= np.quantile(qr_plane_err, 0.99)
+    assert plane_err.max() <= qr_plane_err.max()
+
+
+def test_batch_random_flags_make_no_lapack_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the flag sampler factorized a matrix")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    batch_random_flags(np.random.default_rng(62), 10)
+    random_flag(np.random.default_rng(62))
+
+
+def test_random_flag_is_one_row_of_the_batch_sampler():
+    for seed in range(20):
+        rng, rng2 = np.random.default_rng(seed), np.random.default_rng(seed)
+        flag = random_flag(rng)
+        lines, planes = batch_random_flags(rng2, 1)
+        expected = Flag3(lines[0], planes[0])
+        assert flag.line.tobytes() == expected.line.tobytes()
+        assert flag.plane.tobytes() == expected.plane.tobytes()
+        assert rng.bit_generator.state == rng2.bit_generator.state
+
+
+# draws of 2,000-tuple flags3 samples, as recorded with the QR sampler;
+# tolerances 0.05 and 0.2 force rejections, so a change to the random
+# stream or to the accepted set shows here
+FLAGS3_DRAWS = [
+    (1, 2, 0.05, 2228), (1, 3, 0.05, 3027), (1, 3, 0.2, 12018),
+    (2, 2, 0.2, 3006), (2, 3, 0.05, 2970), (2, 3, 0.2, 11698),
+    (3, 2, 0.05, 2219), (3, 3, 0.2, 11741), (3, 3, 1e-9, 2000),
+]
+
+
+@pytest.mark.parametrize("seed, size, tol, draws", FLAGS3_DRAWS)
+def test_flags3_sampler_draws_as_before(seed, size, tol, draws):
+    config = SamplerConfig(model="flags3", tuple_size=size, count=2000, seed=seed,
+                           tolerance=tol)
+    stats = sampling_stats(config)
+    assert (stats["draws"], stats["accepted"]) == (draws, 2000)
 
 
 def test_batch_normalization_equals_flag3_bit_for_bit():

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from boundarykit import (ComplexBoundaryPoint, DegenerateTuple, MixedModels,
-                         ProjectivePoint, RealBoundaryPoint,
+                         ProjectivePoint, RealBoundaryPoint, SignatureError,
                          barycenter_ideal_triangle, boundary_to_chart,
                          cartan_invariant, chart_to_boundary, cross_ratio,
                          gram_ratio, halfplane_to_hyperboloid,
                          hyperboloid_to_halfplane, is_generic_tuple,
                          restrict_to_h3)
-from boundarykit.hyperbolic import (apply_isometry, cartan_invariant_batch,
-                                    lorentz_product, random_lorentz_isometry,
+from boundarykit.hyperbolic import (_canonical_positive_basis, apply_isometry,
+                                    cartan_invariant_batch, lorentz_product,
+                                    random_lorentz_isometry,
                                     random_unitary_isometry)
 from boundarykit.sampling import (random_boundary_point,
                                   random_complex_boundary_point)
@@ -111,6 +112,42 @@ def test_cartan_range_and_coverage():
     assert np.all(np.abs(values) <= math.pi / 2 + 1e-10)
     assert values.min() < -math.pi / 2 + 0.05
     assert values.max() > math.pi / 2 - 0.05
+
+
+def random_chain_lifts(rng, n, count):
+    """Unit null lifts of `count` triples on the chain of a random isometry,
+    the three points at least 0.3 apart on the chain's circle, in either
+    order around it."""
+    turn = rng.choice([-1.0, 1.0], (count, 1))
+    angles = rng.uniform(0.0, 2 * math.pi, (count, 1)) + turn * np.cumsum(
+        rng.uniform(0.3, 2.0, (count, 3)), axis=1)
+    lifts = np.zeros((count, 3, n + 1), dtype=complex)
+    lifts[:, :, 0] = np.exp(1j * angles)
+    lifts[:, :, -1] = 1.0
+    lifts = lifts @ random_unitary_isometry(rng, n).T
+    return lifts / np.linalg.norm(lifts, axis=2, keepdims=True)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cartan_batch_is_pm_half_pi_on_chains_and_never_beyond(n):
+    rng = np.random.default_rng(25)
+    lifts = np.concatenate([random_chain_lifts(rng, n, 100) for _ in range(50)])
+    values = cartan_invariant_batch(lifts[:, 0], lifts[:, 1], lifts[:, 2])
+    assert np.max(np.abs(np.abs(values) - math.pi / 2)) <= 1e-12
+    assert np.all(np.abs(values) <= math.pi / 2)
+    assert (values > 0).any() and (values < 0).any()
+
+
+def test_cartan_batch_range_on_random_triples():
+    rng = np.random.default_rng(26)
+    w = rng.standard_normal((3, 20_000, 3)) + 1j * rng.standard_normal((3, 20_000, 3))
+    w /= np.linalg.norm(w, axis=2, keepdims=True)
+    lifts = np.concatenate([w, np.ones((3, 20_000, 1))], axis=2) / math.sqrt(2)
+    values = cartan_invariant_batch(*lifts)
+    assert np.all(np.abs(values) <= math.pi / 2)
+    # a transposition conjugates the product, up to the order of rounding
+    np.testing.assert_allclose(cartan_invariant_batch(lifts[1], lifts[0], lifts[2]),
+                               -values, rtol=0, atol=1e-15)
 
 
 def test_cartan_lift_choice_invariance():
@@ -269,3 +306,51 @@ def test_restrict_output_is_isometric_on_lifts():
             got = mapped[0] @ metric4 @ mapped[1]
             assert got == pytest.approx(
                 lorentz_product(pts[i].lift(), pts[j].lift()), rel=1e-10, abs=1e-10)
+
+
+# the ways restrict_to_h3 can refuse a tuple of distinct points
+
+
+def test_restrict_refuses_lifts_of_rank_two():
+    # four points 1e-6 apart on a great circle: the lifts' third singular
+    # value is about 1e-12, below the relative rank threshold
+    pts = [RealBoundaryPoint([math.cos(1e-6 * k), math.sin(1e-6 * k), 0.0])
+           for k in range(4)]
+    with pytest.raises(SignatureError, match="dimension < 3"):
+        restrict_to_h3(*pts)
+
+
+def test_restrict_refuses_a_degenerate_restricted_form():
+    # four points 1e-5 apart in general position: the lifts span four
+    # dimensions, but the form on their span has an eigenvalue near zero
+    offsets = [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (1, -1, 1)]
+    pts = [RealBoundaryPoint(np.array([0.0, 0.0, 1.0]) + 1e-5 * np.array(d, float))
+           for d in offsets]
+    with pytest.raises(SignatureError, match="degenerate or not Lorentzian"):
+        restrict_to_h3(*pts)
+
+
+def test_canonical_basis_refuses_a_rank_deficient_positive_part():
+    metric = np.diag([1.0, 1.0, 1.0, -1.0])
+    v = np.array([0.6, 0.8, 0.0, 0.0])
+    with pytest.raises(SignatureError, match="canonical basis"):
+        _canonical_positive_basis(np.column_stack([v, v]), metric)
+
+
+def test_restrict_refuses_a_frame_that_is_not_future_pointing(monkeypatch):
+    # a future timelike and a future null vector always have a negative
+    # product, so only a wrong eigenvector, substituted here, reaches this
+    eigh = np.linalg.eigh
+
+    def spacelike_first(a):
+        w, v = eigh(a)
+        v = v.copy()
+        v[:, 0] = 0.3 * v[:, 0] + math.sqrt(0.91) * v[:, 1]
+        return w, v
+
+    pts = tuple(RealBoundaryPoint(d) for d in np.eye(3)) + (
+        RealBoundaryPoint([1.0, 1.0, 1.0]),)
+    restrict_to_h3(*pts)
+    monkeypatch.setattr(np.linalg, "eigh", spacelike_first)
+    with pytest.raises(SignatureError, match="future-pointing"):
+        restrict_to_h3(*pts)

@@ -1,0 +1,36 @@
+"""The benchmark's tracer (perfbench/tracing.py) finds every function and
+method it wraps, so a renamed or removed target fails here instead of
+leaving its per-layer counters at 0."""
+
+import importlib.util
+import pathlib
+
+import numpy as np
+
+import boundarykit.cli  # noqa: F401  (loads every module the tracer patches)
+from boundarykit import flags, reports
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_finds_every_target_and_restores_them():
+    original = flags.batch_random_flags
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == []
+        assert flags.batch_random_flags is not original
+        # the sampler reaches the flag sampler through the module attribute
+        reports._batch_flags(np.random.default_rng(0), 5, 3)
+    finally:
+        tracer.uninstall()
+    assert flags.batch_random_flags is original
+    calls, _, elements = tracer.stats["flags.batch_random_flags"]
+    assert (calls, elements) == (3, 15)
