@@ -205,12 +205,23 @@ def batch_random_flags(rng, count: int):
     return lines, planes
 
 
-def _rows_unit(v):
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+def _cross(a, b):
+    """a x b of two vectors given as their three components, as np.cross computes it."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
-def _pair(phi, e):
-    return np.einsum("ni,ni->n", phi, e)
+def _unit(v):
+    """v / |v| of a vector given as its components, as np.linalg.norm sums them."""
+    norm = np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+    return (v[0] / norm, v[1] / norm, v[2] / norm)
+
+
+def _dot(phi, e):
+    """phi(e) of a covector and a vector given as their components."""
+    # the order in which np.einsum("ni,ni->n") sums three products, so the
+    # mask and triple ratio keep the bits of an einsum kernel; summed left
+    # to right, 30% of pairings differ in the last bit
+    return (phi[0] * e[0] + phi[2] * e[2]) + phi[1] * e[1]
 
 
 def batch_is_generic(lines, planes, tol: float = PAIRING_TOL) -> np.ndarray:
@@ -229,30 +240,26 @@ def batch_is_generic(lines, planes, tol: float = PAIRING_TOL) -> np.ndarray:
     leaving one psi_ab(e_k) per unordered pair {a, b}.
     """
     size = lines.shape[1]
-    # contiguous copies: np.cross runs faster on them than on strided views
-    e = [np.ascontiguousarray(lines[:, i]) for i in range(size)]
-    phi = [np.ascontiguousarray(planes[:, i]) for i in range(size)]
+    e, phi = lines.transpose(1, 2, 0), planes.transpose(1, 2, 0)
     ok = np.ones(lines.shape[0], dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore"):
         for i in range(size):
             for j in range(size):
                 if i != j:
-                    ok &= np.abs(_pair(phi[i], e[j])) > tol
+                    ok &= np.abs(_dot(phi[i], e[j])) > tol
         if size == 3:
             for k in range(3):
                 i, j = [m for m in range(3) if m != k]
-                u = (e[i], _rows_unit(np.cross(phi[i], phi[j])), e[j])
-                ok &= np.abs(_pair(phi[k], u[1])) > tol
+                u = (e[i], _unit(_cross(phi[i], phi[j])), e[j])
+                ok &= np.abs(_dot(phi[k], u[1])) > tol
                 for a, b in ((0, 1), (0, 2), (1, 2)):
-                    psi = _rows_unit(np.cross(u[a], u[b]))
-                    ok &= np.abs(_pair(psi, e[k])) > tol
+                    ok &= np.abs(_dot(_unit(_cross(u[a], u[b])), e[k])) > tol  # psi_ab(e_k)
     return ok
 
 
 def batch_triple_ratio(lines, planes) -> np.ndarray:
     """Vectorized triple ratio for stacked triples (no genericity check)."""
-    e = [lines[:, i] for i in range(3)]
-    phi = [planes[:, i] for i in range(3)]
-    num = _pair(phi[0], e[1]) * _pair(phi[1], e[2]) * _pair(phi[2], e[0])
-    den = _pair(phi[0], e[2]) * _pair(phi[1], e[0]) * _pair(phi[2], e[1])
+    e, phi = lines.transpose(1, 2, 0), planes.transpose(1, 2, 0)
+    num = _dot(phi[0], e[1]) * _dot(phi[1], e[2]) * _dot(phi[2], e[0])
+    den = _dot(phi[0], e[2]) * _dot(phi[1], e[0]) * _dot(phi[2], e[1])
     return num / den

@@ -15,6 +15,7 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -179,11 +180,20 @@ def real_chordal_distance(u, v):
 def complex_chordal_distance(z, w):
     """sin of the Hermitian angle between null lines, over the last axis.
 
-    Computed as the norm of the wedge of the unit lifts, which stays
-    accurate near zero (no cancellation for nearly equal lines).
+    The norm of the wedge of the unit lifts, sqrt(sum over a < b of
+    |z_a w_b - z_b w_a|^2), in real arithmetic.  Each minor is taken as
+    z_a d_b - z_b d_a with d = w - z: nearly equal lifts cancel in d
+    (exactly, where coordinates are within a factor 2), not in products,
+    and their distance keeps a relative error of a few ulps down to zero.
     """
-    wedge = z[..., :, None] * w[..., None, :] - w[..., :, None] * z[..., None, :]
-    return np.linalg.norm(wedge, axis=(-2, -1)) / math.sqrt(2.0)
+    d = w - z
+    zr, zi, dr, di = (np.moveaxis(x, -1, 0) for x in (z.real, z.imag, d.real, d.imag))
+    total = 0.0
+    for a, b in itertools.combinations(range(zr.shape[0]), 2):
+        re = (zr[a] * dr[b] - zi[a] * di[b]) - (zr[b] * dr[a] - zi[b] * di[a])
+        im = (zr[a] * di[b] + zi[a] * dr[b]) - (zr[b] * di[a] + zi[b] * dr[a])
+        total = total + (re * re + im * im)
+    return np.sqrt(total)
 
 
 def is_generic_tuple(points, tol: float = EPS_DIST) -> bool:

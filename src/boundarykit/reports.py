@@ -95,9 +95,10 @@ class ResultColumns(Sequence):
     """Flat result rows stored column by column.
 
     `columns` maps each row key, in CSV column order, to a list, range or
-    1-D array of JSON scalars (str, int, float, bool or None), one per row.
-    Read as a sequence, it yields the row dicts, with numpy scalars as
-    Python numbers.
+    1-D array of JSON scalars (str, int, float, bool or None), one per row,
+    or to a 2-D numeric array, a vector column: its cell in each row is the
+    `;`-join of the reprs of the row's entries.  Read as a sequence, it
+    yields the row dicts, with numpy scalars as Python numbers.
     """
 
     def __init__(self, columns: dict):
@@ -110,8 +111,7 @@ class ResultColumns(Sequence):
 
     def __getitem__(self, i) -> dict:
         i = range(len(self))[i]  # IndexError past the last row ends iteration
-        return {name: column[i].item() if isinstance(column, np.ndarray) else column[i]
-                for name, column in self.columns.items()}
+        return {name: _plain(column[i:i + 1])[0] for name, column in self.columns.items()}
 
     def __eq__(self, other):
         if not isinstance(other, (list, ResultColumns)):
@@ -120,8 +120,28 @@ class ResultColumns(Sequence):
 
 
 def _plain(column):
-    """A column as given, or as a list of Python scalars if it is an array."""
+    """A column as given, or if an array its cells as Python values (vector cells as str)."""
+    if isinstance(column, np.ndarray) and column.ndim == 2:
+        return list(map(";".join(["%r"] * column.shape[1]).__mod__, map(tuple, column.tolist())))
     return column.tolist() if isinstance(column, np.ndarray) else column
+
+
+def _cells(column, quote: str):
+    """(%-template of a cell, lists of its arguments) of a block of a column.
+
+    Range and numeric array cells are written by %r, as json.dumps and csv write
+    ints and floats; a vector column of width k > 0 has k arguments per cell,
+    `;`-joined inside `quote`s.  Other columns (lists, bool arrays) give None.
+    """
+    if isinstance(column, range):
+        return "%r", [column]
+    if not isinstance(column, np.ndarray):
+        return None
+    if column.ndim == 1 and column.dtype.kind in "iuf":
+        return "%r", [column.tolist()]
+    if column.ndim == 2 and column.dtype.kind in "biufc" and column.shape[1]:
+        return quote + ";".join(["%r"] * column.shape[1]) + quote, column.T.tolist()
+    return None
 
 
 @dataclass
@@ -252,21 +272,11 @@ def sample_tuples(config: SamplerConfig):
     return _point_objects(config, _accepted_batches(config)[0])
 
 
-def _format_vector(v, scalar=float) -> str:
-    return ";".join(repr(scalar(x)) for x in v)
-
-
-def _format_rows(rows: np.ndarray) -> list:
-    """_format_vector of each row of a 2-D float array."""
-    template = ";".join(["%r"] * rows.shape[1])
-    return list(map(template.__mod__, map(tuple, rows.tolist())))
-
-
 def sample_columns(config: SamplerConfig):
     """The `sample` report's result columns and sampler statistics, from one run.
 
-    One row per sampled point, tuple by tuple, holding its `;`-joined
-    coordinates: a flag's sign-normalized line and covector, a complex
+    One row per sampled point, tuple by tuple, holding a vector column of
+    its coordinates: a flag's sign-normalized line and covector, a complex
     point's normalized lift, or a real point's unit direction.
     """
     data, draws, accepted = _accepted_batches(config)
@@ -274,15 +284,13 @@ def sample_columns(config: SamplerConfig):
     columns = {"tuple_index": np.repeat(np.arange(count), size),
                "point_index": np.tile(np.arange(size), count)}
     if config.model == "flags3":
-        lines, planes = batch_normalize_flags(*(a.reshape(-1, 3) for a in data))
-        columns["line"] = _format_rows(lines)
-        columns["plane"] = _format_rows(planes)
+        columns["line"], columns["plane"] = batch_normalize_flags(
+            *(a.reshape(-1, 3) for a in data))
+    elif config.model == "complex_hyperbolic":
+        columns["lift"] = np.array([p.lift for t in _point_objects(config, data) for p in t])
     else:
-        points = [p for tup in _point_objects(config, data) for p in tup]
-        if config.model == "complex_hyperbolic":
-            columns["lift"] = [_format_vector(p.lift, complex) for p in points]
-        else:
-            columns["coords"] = [_format_vector(p.direction) for p in points]
+        columns["coords"] = np.array([p.direction for t in _point_objects(config, data)
+                                      for p in t])
     return ResultColumns(columns), _acceptance(draws, accepted)
 
 
@@ -308,7 +316,9 @@ def invariant_values(config: SamplerConfig, invariant_name: str) -> np.ndarray:
         return np.sign(circle_orientation(*data.transpose(1, 2, 0)))
     if invariant_name == "cartan":
         return cartan_invariant_batch(data[:, 0], data[:, 1], data[:, 2])
-    return flags_mod.batch_triple_ratio(*data)
+    # by blocks, whose component views stay in cache
+    return np.concatenate([flags_mod.batch_triple_ratio(*(a[rows] for a in data))
+                           for rows in _blocks(config.count)])
 
 
 def quantile_summary(values: np.ndarray) -> dict:
@@ -323,8 +333,11 @@ def histogram_summary(values: np.ndarray, bins: int = 40) -> dict:
             "edges": [float(e) for e in edges]}
 
 
-def summarize_invariant(name: str, values: np.ndarray):
-    """Result columns and summary of an invariant's values, as (results, summary)."""
+def summarize_invariant(name: str, values: np.ndarray, histogram_values=None):
+    """Result columns and summary of an invariant's values, as (results, summary).
+
+    The histogram is of `histogram_values` if given, else of the values.
+    """
     finite = np.isfinite(values)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -336,7 +349,7 @@ def summarize_invariant(name: str, values: np.ndarray):
         "min": float(values.min()),
         "max": float(values.max()),
         "quantiles": quantile_summary(values),
-        "histogram": histogram_summary(values),
+        "histogram": histogram_summary(values if histogram_values is None else histogram_values),
     }
     return results, summary
 
@@ -354,7 +367,10 @@ def compactness_probe(model: str, invariant_name: str, config: SamplerConfig,
     if config.model != model:
         config = replace(config, model=model)
     values = invariant_values(config, invariant_name)
-    results, summary = summarize_invariant(invariant_name, values)
+    magnitudes = np.abs(values)
+    results, summary = summarize_invariant(
+        invariant_name, values,
+        np.log10(magnitudes) if invariant_name == "triple_ratio" else None)
 
     if invariant_name == "orientation_class":
         classes = sorted(set(float(v) for v in values))
@@ -365,15 +381,13 @@ def compactness_probe(model: str, invariant_name: str, config: SamplerConfig,
     elif invariant_name == "cartan":
         bound = math.pi / 2 + 1e-10
         summary["reference_interval"] = [-math.pi / 2, math.pi / 2]
-        inside = bool(np.all(np.abs(values) <= bound))
+        inside = bool(np.all(magnitudes <= bound))
         summary["verdict"] = "bounded-range" if inside else "escape-detected"
     else:  # triple_ratio
-        magnitudes = np.abs(values)
         summary["abs_min"] = float(magnitudes.min())
         summary["abs_max"] = float(magnitudes.max())
         summary["escape_hi"] = float(escape_hi)
         summary["escape_lo"] = float(escape_lo)
-        summary["histogram"] = histogram_summary(np.log10(magnitudes))
         summary["histogram_scale"] = "log10(|T|)"
         escaped = bool(magnitudes.max() > escape_hi or magnitudes.min() < escape_lo)
         summary["verdict"] = "escape-detected" if escaped else "bounded-range"
@@ -442,15 +456,16 @@ def _report_pieces(envelope: ReportEnvelope, format: str):
 def _check_column(column, format: str) -> None:
     """Refuse a column of cells that `format` cannot hold.
 
-    JSON takes scalars only (TypeError) and no NaN or infinity.  CSV,
-    written with "\\n" line ends, leaves a carriage return unquoted, where
-    a reader takes it for a line end.
+    JSON takes scalars and vector columns only (TypeError) and no NaN or
+    infinity.  CSV, written with "\\n" line ends, leaves a carriage return
+    unquoted, where a reader takes it for a line end.
     """
     if isinstance(column, range):
         return
-    if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
-        if format == "json" and column.dtype.kind == "f" and not np.isfinite(column).all():
-            _refuse_float(float(column[~np.isfinite(column)][0]))
+    if isinstance(column, np.ndarray) and (column.dtype.kind in "biuf" or column.ndim == 2
+                                           and column.dtype.kind == "c"):
+        if format == "json" and column.dtype.kind in "fc" and not np.isfinite(column).all():
+            _refuse_float(column[~np.isfinite(column)][0].item())
         return
     values = _plain(column)
     kinds = set(map(type, values))
@@ -505,42 +520,40 @@ def _json_pieces(results: ResultColumns, text: str):
         return
     names = sorted(results.columns)
     # rows sit at depth 2 of the envelope and their keys at depth 3
-    template = ("    {\n" + ",\n".join(
-        "      " + encode_basestring_ascii(name).replace("%", "%%") + ": %s"
-        for name in names) + "\n    }")
+    keys = ["      " + encode_basestring_ascii(name).replace("%", "%%") + ": " for name in names]
     # only top-level keys are indented by exactly two spaces
     head, tail = text.split('\n  "results": []', 1)
     opening = head + '\n  "results": [\n'
     for rows in _blocks(len(results)):
-        cells = (_json_cells(results.columns[name][rows]) for name in names)
-        yield opening + ",\n".join(map(template.__mod__, zip(*cells)))
+        blocks = [results.columns[name][rows] for name in names]
+        cells = [_cells(block, '"') or ("%s", [list(map(json.dumps, _plain(block)))])
+                 for block in blocks]
+        template = "    {\n" + ",\n".join(k + spec for k, (spec, _) in zip(keys, cells)) + "\n    }"
+        args = [entry for _, entries in cells for entry in entries]
+        yield opening + ",\n".join(map(template.__mod__, zip(*args)))
         opening = ",\n"
     yield "\n  ]" + tail
-
-
-def _json_cells(column) -> list:
-    """JSON text of each cell of a checked column, as json.dumps writes it."""
-    values = _plain(column)
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        return list(map(float.__repr__, values))
-    if kinds == {int}:
-        return list(map(int.__repr__, values))
-    if kinds == {str}:
-        return list(map(encode_basestring_ascii, values))
-    return [json.dumps(v) for v in values]
 
 
 def _csv_pieces(results: ResultColumns):
     """CSV of the columns under a header of their names, ROW_BLOCK rows per piece.
 
-    Floats are written by repr.
+    Floats are written by repr.  A block of range and numeric array columns
+    is written one %-template per row, since none of their cells needs
+    quoting; other blocks by csv.writer.
     """
+    columns = list(results.columns.values())
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(results.columns)
     for rows in _blocks(len(results)):
-        writer.writerows(zip(*(_plain(column[rows]) for column in results.columns.values())))
+        cells = [_cells(column[rows], "") for column in columns]
+        if None in cells:
+            writer.writerows(zip(*(_plain(column[rows]) for column in columns)))
+        else:
+            template = ",".join(spec for spec, _ in cells) + "\n"
+            args = [entry for _, entries in cells for entry in entries]
+            buffer.write("".join(map(template.__mod__, zip(*args))))
         yield buffer.getvalue()
         buffer.seek(0)
         buffer.truncate()

@@ -453,3 +453,75 @@ def test_batch_normalization_refuses_what_flag3_refuses():
         batch_normalize_flags(np.array([E1, np.zeros(3)]), np.array([E2, E1]))
     with pytest.raises(ValueError, match="finite and nonzero"):
         batch_normalize_flags(np.array([E1]), np.array([[np.nan, 1.0, 0.0]]))
+
+
+# ---------------------------------------------------------------------------
+# the component kernels equal np.cross / np.einsum / np.linalg.norm kernels
+
+
+def reference_is_generic(lines, planes, tol):
+    """batch_is_generic written with np.cross, np.einsum and np.linalg.norm."""
+    def pair(phi, e):
+        return np.einsum("ni,ni->n", phi, e)
+
+    def unit(v):
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+    size = lines.shape[1]
+    e = [np.ascontiguousarray(lines[:, i]) for i in range(size)]
+    phi = [np.ascontiguousarray(planes[:, i]) for i in range(size)]
+    ok = np.ones(lines.shape[0], dtype=bool)
+    for i in range(size):
+        for j in range(size):
+            if i != j:
+                ok &= np.abs(pair(phi[i], e[j])) > tol
+    if size == 3:
+        for k in range(3):
+            i, j = [m for m in range(3) if m != k]
+            u = (e[i], unit(np.cross(phi[i], phi[j])), e[j])
+            ok &= np.abs(pair(phi[k], u[1])) > tol
+            for a, b in ((0, 1), (0, 2), (1, 2)):
+                ok &= np.abs(pair(unit(np.cross(u[a], u[b])), e[k])) > tol
+    return ok
+
+
+def reference_triple_ratio(lines, planes):
+    def pair(i, j):
+        return np.einsum("ni,ni->n", planes[:, i], lines[:, j])
+    return pair(0, 1) * pair(1, 2) * pair(2, 0) / (pair(0, 2) * pair(1, 0) * pair(2, 1))
+
+
+def triples_at_tol(seed, n, tol):
+    """n random flag triples, a quarter with phi_0(e_1) = +-tol up to rounding."""
+    rng = np.random.default_rng(seed)
+    lines = np.empty((n, 3, 3))
+    planes = np.empty((n, 3, 3))
+    for i in range(3):
+        lines[:, i], planes[:, i] = batch_random_flags(rng, n)
+    near = slice(0, n // 4)
+    phi, e = planes[near, 0], lines[near, 1]
+    v = e - np.vecdot(phi, e)[:, None] * phi
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    sign = rng.choice([-1.0, 1.0], size=(n // 4, 1))
+    e = sign * tol * phi + np.sqrt(1.0 - tol * tol) * v
+    lines[near, 1] = e
+    # keep flag 1's plane through its moved line
+    psi = planes[near, 1] - np.vecdot(planes[near, 1], e)[:, None] * e
+    planes[near, 1] = psi / np.linalg.norm(psi, axis=1, keepdims=True)
+    return lines, planes
+
+
+def test_component_kernels_equal_the_numpy_kernels_bit_for_bit():
+    tol = 0.05
+    lines, planes = triples_at_tol(71, 200_000, tol)
+    pairing = np.abs(np.einsum("ni,ni->n", planes[:50_000, 0], lines[:50_000, 1]))
+    assert np.all(np.abs(pairing - tol) < 1e-13)
+    assert (pairing <= tol).any() and (pairing > tol).any()
+    # in blocks of 4,096 rows, as the sampler calls them
+    for start in range(0, 200_000, 4096):
+        e, phi = lines[start:start + 4096], planes[start:start + 4096]
+        for size in (2, 3):
+            assert np.array_equal(batch_is_generic(e[:, :size], phi[:, :size], tol),
+                                  reference_is_generic(e[:, :size], phi[:, :size], tol))
+    ratios = batch_triple_ratio(lines, planes)
+    assert ratios.tobytes() == reference_triple_ratio(lines, planes).tobytes()

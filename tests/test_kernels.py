@@ -2,8 +2,10 @@
 distinctness rule: two points are distinct iff their chordal distance is
 > tol, in every module and batch kernel."""
 
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -80,6 +82,20 @@ def test_complex_chordal_kernel_matches_the_point_method():
         p.chordal_distance(q) for p, q in pairs]
 
 
+def test_a_complex_pair_at_exactly_tol_is_rejected():
+    rng = np.random.default_rng(9)
+    for n, gap in ((2, 1e-3), (3, 0.4), (4, 1e-7)):
+        p = random_complex_boundary_point(rng, n)
+        w = p.lift[:-1] / p.lift[-1]  # its ball direction
+        q = ComplexBoundaryPoint.from_ball_direction(w + gap * rng.standard_normal(n))
+        d = p.chordal_distance(q)
+        batch = np.array([[p.lift, q.lift]])
+        for tol, distinct in ((d, False), (below(d), True)):
+            assert is_generic_tuple([p, q], tol) is distinct
+            assert reports._mask_generic(batch, tol, complex_chordal_distance).tolist() == [
+                distinct]
+
+
 def test_complex_batch_mask_agrees_with_is_generic_tuple():
     tol = 0.5
     rng = np.random.default_rng(8)
@@ -104,3 +120,62 @@ def test_orientation_class_equals_vol2_over_pi():
     config = SamplerConfig(model="S1", count=500, seed=4)
     values = invariant_values(config, "orientation_class")
     assert values.tolist() == [vol2(*t) / math.pi for t in sample_tuples(config)]
+
+
+# ---------------------------------------------------------------------------
+# the complex chordal distance against a 40-digit minor sum
+
+
+def minor_sum(z, w):
+    """sqrt(sum over a < b of |z_a w_b - z_b w_a|^2) of each row, to 40 digits."""
+    with mpmath.workdps(40):
+        exact = []
+        for zs, ws in zip(z.tolist(), w.tolist()):
+            zs, ws = [mpmath.mpc(x) for x in zs], [mpmath.mpc(x) for x in ws]
+            total = mpmath.mpf(0)
+            for a, b in itertools.combinations(range(len(zs)), 2):
+                total += abs(zs[a] * ws[b] - zs[b] * ws[a]) ** 2
+            exact.append(mpmath.sqrt(total))
+        return exact
+
+
+def relative_errors(values, exact):
+    with mpmath.workdps(40):
+        return np.array([float(abs(v - e) / e) for v, e in zip(values.tolist(), exact)])
+
+
+def wedge_distance(z, w):
+    """The Frobenius norm of the wedge z w^T - w z^T over sqrt(2)."""
+    wedge = z[..., :, None] * w[..., None, :] - w[..., :, None] * z[..., None, :]
+    return np.linalg.norm(wedge, axis=(-2, -1)) / math.sqrt(2.0)
+
+
+def random_lifts(rng, count, n, near=None, scale=0.0):
+    """Unit null lifts of random ball directions, or of `near`'s moved by `scale`."""
+    re, im = rng.standard_normal((2, count, 1, n))
+    if near is not None:
+        re, im = near[0] + scale * re, near[1] + scale * im
+    return reports._complex_lifts(re, im)[:, 0], (re, im)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_complex_distance_is_within_4e_16_of_the_minor_sum(n):
+    rng = np.random.default_rng(20 + n)
+    z, _ = random_lifts(rng, 200, n)
+    w, _ = random_lifts(rng, 200, n)
+    errors = relative_errors(complex_chordal_distance(z, w), minor_sum(z, w))
+    assert errors.max() <= 4e-16
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-12])
+def test_complex_distance_of_nearly_equal_lines_is_as_accurate_as_the_wedge(scale):
+    rng = np.random.default_rng(31)
+    z, directions = random_lifts(rng, 400, 3)
+    w, _ = random_lifts(rng, 400, 3, directions, scale)
+    exact = minor_sum(z, w)
+    errors = relative_errors(complex_chordal_distance(z, w), exact)
+    wedge_errors = relative_errors(wedge_distance(z, w), exact)
+    # the wedge cancels in its products, to about eps / scale
+    assert np.quantile(errors, 0.99) <= 1.25 * np.quantile(wedge_errors, 0.99)
+    assert errors.max() <= 1.25 * wedge_errors.max()
+    assert errors.max() <= 4e-16

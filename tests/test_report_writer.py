@@ -1,8 +1,9 @@
 """Property tests of the report writer at the edges of its row blocks.
 
 Reports with ResultColumns are written ROW_BLOCK rows per piece; these
-tests draw columns at 0, 1, B - 1, B, B + 1 and 2B + 1 rows for B =
-ROW_BLOCK and check the bytes against json.dumps and the CSV read-back.
+tests draw columns, vector columns among them, at 0, 1, B - 1, B, B + 1
+and 2B + 1 rows for B = ROW_BLOCK and check the bytes against json.dumps
+and the CSV read-back.
 """
 
 import io
@@ -31,6 +32,14 @@ def cycled(values, n):
     return [values[i % len(values)] for i in range(n)]
 
 
+def vector_column(draw, n, dtype):
+    """An (n, width) column of drawn finite entries, width 1 to 4."""
+    width = draw(st.integers(1, 4))
+    parts = 2 if dtype is np.complex128 else 1
+    entries = cycled(draw(st.lists(finite_floats, min_size=1, max_size=12)), n * width * parts)
+    return np.array(entries, dtype=np.float64).view(dtype).reshape(n, width)
+
+
 @st.composite
 def envelopes(draw, n):
     floats = draw(st.lists(finite_floats, min_size=1, max_size=12))
@@ -40,6 +49,8 @@ def envelopes(draw, n):
         "count": np.arange(n, dtype=np.int64) * draw(st.integers(-2 ** 40, 2 ** 40)),
         draw(st.text(min_size=1)): cycled(draw(st.lists(st.text(), min_size=1, max_size=12)), n),
         "mixed": cycled(draw(st.lists(scalars, min_size=1, max_size=12)), n),
+        "vector": vector_column(draw, n, np.float64),
+        "lift": vector_column(draw, n, np.complex128),
     }
     summary = {"count": n, "note": draw(st.text()), "level": draw(finite_floats)}
     return ReportEnvelope(command="x", seed=draw(st.integers(0, 2 ** 31)),

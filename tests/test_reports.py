@@ -14,6 +14,7 @@ from boundarykit import (ResultColumns, SamplerConfig, UnencodableReport,
                          UnknownInvariant, compactness_probe, emit_report,
                          invariant_values, read_report_csv, read_report_json,
                          sample_tuples, sampling_stats)
+from boundarykit import reports
 from boundarykit.reports import (ReportEnvelope, _write_report, sample_columns,
                                 summarize_invariant)
 
@@ -104,6 +105,21 @@ def test_probe_triple_ratio_escape():
     assert env.summary["abs_min"] < 1e-3
     assert env.summary["escape_hi"] == 1e3
     assert env.summary["escape_lo"] == 1e-3
+
+
+def test_the_triple_ratio_probe_makes_only_its_log_histogram(monkeypatch):
+    config = SamplerConfig(model="flags3", count=2000, seed=5)
+    values = invariant_values(config, "triple_ratio")
+    calls = []
+    histogram = reports.histogram_summary
+    monkeypatch.setattr(reports, "histogram_summary",
+                        lambda v, *args: calls.append(v) or histogram(v, *args))
+    env = compactness_probe("flags3", "triple_ratio", config)
+    assert len(calls) == 1
+    assert env.summary["histogram"] == histogram(np.log10(np.abs(values)))
+    assert env.summary["histogram_scale"] == "log10(|T|)"
+    # the invariant report histograms the values themselves
+    assert summarize_invariant("triple_ratio", values)[1]["histogram"] == histogram(values)
 
 
 def test_envelope_has_seed_and_tolerances():
@@ -290,8 +306,8 @@ def test_batch_sample_cells_equal_the_flag3_path(seed, size):
     config = SamplerConfig(model="flags3", tuple_size=size, count=1500, seed=seed)
     results, _ = sample_columns(config)
     flags = [flag for tup in sample_tuples(config) for flag in tup]
-    assert results.columns["line"] == [";".join(map(repr, f.line.tolist())) for f in flags]
-    assert results.columns["plane"] == [";".join(map(repr, f.plane.tolist())) for f in flags]
+    assert [row["line"] for row in results] == [";".join(map(repr, f.line.tolist())) for f in flags]
+    assert [row["plane"] for row in results] == [";".join(map(repr, f.plane.tolist())) for f in flags]
 
 
 def test_a_non_finite_invariant_is_refused_at_its_index():
@@ -373,3 +389,45 @@ def test_sampling_100k_complex_triples_stays_below_40_mb():
     config = SamplerConfig(model="complex_hyperbolic", count=100_000, seed=3, dim=3)
     # the two Gaussian draws take 14.4 MB and the accepted lifts 19.2 MB
     assert traced_peak_mb(lambda: invariant_values(config, "cartan")) < 40.0
+
+
+def point_rows(config):
+    """`sample` rows as written before vector columns: each point's ;-joined reprs."""
+    def join(v, scalar=float):
+        return ";".join(repr(scalar(x)) for x in v)
+
+    rows = []
+    for t, tup in enumerate(sample_tuples(config)):
+        for i, p in enumerate(tup):
+            row = {"tuple_index": t, "point_index": i}
+            if config.model == "flags3":
+                row.update(line=join(p.line), plane=join(p.plane))
+            elif config.model == "complex_hyperbolic":
+                row["lift"] = join(p.lift, complex)
+            else:
+                row["coords"] = join(p.direction)
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("model, dim, size, tol", [
+    ("S1", 2, 3, 0.5), ("Sn", 4, 2, 1e-9), ("complex_hyperbolic", 3, 3, 0.5),
+    ("complex_hyperbolic", 2, 2, 1e-9), ("flags3", 2, 3, 0.05), ("flags3", 2, 2, 1e-9)])
+def test_sample_bytes_equal_the_per_point_join(model, dim, size, tol):
+    config = SamplerConfig(model=model, tuple_size=size, count=1500, seed=6, dim=dim,
+                           tolerance=tol)
+    results, stats = sample_columns(config)
+    env = ReportEnvelope(command="sample", seed=6, config=config.echo(), results=results,
+                         summary={"tuples": config.count, **stats})
+    rows = point_rows(config)
+    stream = io.StringIO()
+    _write_report(env, "json", stream)
+    assert stream.getvalue() == json.dumps({**vars(env), "results": rows}, sort_keys=True,
+                                           indent=2) + "\n"
+    expected = io.StringIO()
+    writer = csv.DictWriter(expected, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    stream = io.StringIO()
+    _write_report(env, "csv", stream)
+    assert stream.getvalue() == expected.getvalue()

@@ -34,3 +34,23 @@ def test_tracer_finds_every_target_and_restores_them():
     assert flags.batch_random_flags is original
     calls, _, elements = tracer.stats["flags.batch_random_flags"]
     assert (calls, elements) == (3, 15)
+
+
+def test_the_bulk_kernels_are_reached_through_their_traced_names():
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        flag_config = reports.SamplerConfig(model="flags3", count=50, seed=4)
+        reports.invariant_values(flag_config, "triple_ratio")
+        complex_config = reports.SamplerConfig(model="complex_hyperbolic", count=50, seed=4,
+                                               dim=3)
+        reports.invariant_values(complex_config, "cartan")
+    finally:
+        tracer.uninstall()
+    # the mask sees every candidate row, as many as the sampler draws
+    draws = reports.sampling_stats(flag_config)["draws"]
+    expected = {"flags.batch_is_generic": draws, "flags.batch_triple_ratio": 50,
+                "hyperbolic.cartan_invariant_batch": 50}
+    for name, rows in expected.items():
+        calls, _, elements = tracer.stats[name]
+        assert calls > 0 and elements == rows, name
