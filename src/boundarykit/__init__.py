@@ -22,8 +22,7 @@ from .flags import (Flag3, FlatBoundary, flat_boundary, is_generic_triple,
 from .cochains import (Cochain, DefectReport, alternate, alternating_projection,
                        alternation_spot_check, coboundary, cone_homotopy,
                        empirical_sup_defect, model_coboundary)
-from .volume import (MAX_VOL3, LobachevskyEvaluator, lobachevsky, vol2, vol3,
-                     vol3_from_cross_ratio)
+from .volume import MAX_VOL3, lobachevsky, vol2, vol3, vol3_from_cross_ratio
 from .certifier import (BoundCertificate, GridConfig, RegionSpec, ScalarFunction,
                         alternating_bump_function, certify_complex_region,
                         certify_interval, const_function, doubling_defect,

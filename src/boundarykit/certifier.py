@@ -57,13 +57,12 @@ class ScalarFunction:
     float64 or complex128 array of points to the float64 array of their
     values; the certifier then evaluates each block of grid points with
     one call, and falls back to `evaluator` point by point on a block
-    where `batch` raises.
+    where `batch` raises or returns values that are not real numbers.
     """
 
     evaluator: Callable[..., float]
     field_tag: str = "real"
     from_alternating: bool = False
-    name: str = ""
     batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, x) -> float:
@@ -133,18 +132,18 @@ def _check_away_from(values, excluded, tol=ARG_TOL):
 def _values(F: ScalarFunction, points: np.ndarray) -> np.ndarray:
     """F at each of `points` (a 1-D array), as a float64 array.
 
-    Uses `F.batch` when it is set and returns one value per point;
+    Uses `F.batch` when it is set and returns one real number per point;
     otherwise, or where it raises, calls F on each point as a plain Python
     scalar, so an EvaluationError names the point in its plain repr.
     """
     if F.batch is not None:
         try:
-            values = np.asarray(F.batch(points), dtype=np.float64)
+            values = np.asarray(F.batch(points))
         except Exception:
             pass
         else:
-            if values.shape == points.shape:
-                return values
+            if values.shape == points.shape and values.dtype.kind in "biuf":
+                return values.astype(np.float64, copy=False)
     return np.array([F(x) for x in points.tolist()], dtype=np.float64)
 
 
@@ -445,8 +444,7 @@ def extend_by_symmetry(cert_near_1: BoundCertificate, F: ScalarFunction,
 
 
 def const_function(c: float = 1.0, field_tag: str = "real") -> ScalarFunction:
-    return ScalarFunction(evaluator=lambda x: c, field_tag=field_tag,
-                          from_alternating=False, name=f"const({c})",
+    return ScalarFunction(evaluator=lambda x: c, field_tag=field_tag, from_alternating=False,
                           batch=lambda x: np.full(x.shape, float(c)))
 
 
@@ -456,7 +454,7 @@ def pole_function(field_tag: str = "real") -> ScalarFunction:
     def ev(x):
         return complex(1.0 / (1.0 - x)).real
 
-    return ScalarFunction(evaluator=ev, field_tag=field_tag, name="pole",
+    return ScalarFunction(evaluator=ev, field_tag=field_tag,
                           batch=lambda x: np.real(1.0 / (1.0 - x)))
 
 
@@ -464,8 +462,7 @@ def vol3_slice() -> ScalarFunction:
     """F(z) = Vol_3(inf, 0, 1, z): a bounded cocycle slice on C minus {0,1}."""
     from .volume import vol3_from_cross_ratio, vol3_from_cross_ratio_batch
     return ScalarFunction(evaluator=vol3_from_cross_ratio, field_tag="complex",
-                          from_alternating=True, name="vol3-slice",
-                          batch=vol3_from_cross_ratio_batch)
+                          from_alternating=True, batch=vol3_from_cross_ratio_batch)
 
 
 def alternating_bump_function(center: float = 0.3) -> ScalarFunction:
@@ -486,4 +483,4 @@ def alternating_bump_function(center: float = 0.3) -> ScalarFunction:
                 - bump(x / (x - 1.0)))
 
     return ScalarFunction(evaluator=ev, field_tag="real",
-                          from_alternating=True, name="bump", batch=ev)
+                          from_alternating=True, batch=ev)

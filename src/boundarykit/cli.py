@@ -176,7 +176,7 @@ def _cmd_probe(args) -> int:
     seed = _resolve_seed(args)
     config = _config_from_args(args, seed)
     name = _resolve_invariant(args, config)
-    envelope = compactness_probe(config.model, name, config,
+    envelope = compactness_probe(name, config,
                                  escape_hi=args.escape_hi, escape_lo=args.escape_lo)
     _write(envelope, args)
     return 0

@@ -10,13 +10,13 @@ optionally, model-space (hyperboloid) points.  Calling conventions:
 The homogeneous coboundary acts on the boundary slots; `model_coboundary`
 is the same signed sum over the model slots.  `cone_homotopy` inserts the
 barycenter of the first three boundary points as an extra model argument;
-together they satisfy f = H(d f) + d(H f) pointwise.
+together they satisfy f = H(d f) + d(H f) pointwise.  `empirical_sup_defect`
+measures |delta f| on tuples drawn by `sampling.draw_batches`.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -52,7 +52,6 @@ class Cochain:
     arity: int
     evaluator: Callable[..., float]
     model_arity: int = 0
-    alternating: bool = False
     batch: Callable[[np.ndarray], np.ndarray] | None = None  # (m, arity, k) coords -> m values
 
     def __post_init__(self):
@@ -138,7 +137,7 @@ def alternate(f: Cochain) -> Cochain:
         return sum(sign * f.evaluator(*(points[i] for i in perm))
                    for perm, sign in perms)
 
-    return Cochain(arity=p, evaluator=ev, alternating=True)
+    return Cochain(arity=p, evaluator=ev)
 
 
 def alternating_projection(f: Cochain) -> Cochain:
@@ -149,7 +148,7 @@ def alternating_projection(f: Cochain) -> Cochain:
     def ev(*points):
         return alt.evaluator(*points) / factorial
 
-    return Cochain(arity=f.arity, evaluator=ev, alternating=True)
+    return Cochain(arity=f.arity, evaluator=ev)
 
 
 def cone_homotopy(f: Cochain, boundary_points, tol: float = EPS_DIST) -> Cochain:
@@ -209,54 +208,32 @@ def empirical_sup_defect(f: Cochain, sampler, n: int, seed: int = 0) -> DefectRe
     """Estimate sup |delta f| over n sampled generic tuples.
 
     `sampler(rng)` must return a tuple of f.arity + 1 points, or None for a
-    rejected (non-generic) draw.  Deterministic for a fixed seed; raises
-    SamplerExhausted when rejections push the total draw count past
-    sampling.DRAW_BUDGET * n, and EvaluationError, naming the sample's
-    index, at the first value of delta f that is NaN or infinite.  With
-    f.batch and a batch sampler (one with `draw`, as `SphereTupleSampler`),
-    the same tuples are handled as arrays.
+    rejected (non-generic) draw.  With f.batch and a sampler that gives
+    coordinates (`SphereTupleSampler`), delta f is evaluated on arrays, else
+    tuple by tuple; the witness is the first maximizing tuple.  Deterministic
+    for a fixed seed; raises SamplerExhausted past sampling.DRAW_BUDGET * n
+    draws, and EvaluationError, naming the sample's index, at the first
+    value of delta f that is NaN or infinite.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    from .sampling import for_each_tuple, rejection_loop  # sampling imports this module
-
-    def refuse(index, value):
-        raise EvaluationError(f"coboundary value {value!r} at sample {index} is not finite")
+    from .sampling import draw_batches  # sampling imports this module
 
     g = coboundary(f)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    if g.batch is not None and hasattr(sampler, "draw"):
-        chunks = []
-
-        def draw(m):
-            normals, coords = sampler.draw(rng, m)
-            chunks.append((normals, g.batch(coords)))
-            return len(coords)
-
-        rejection_loop(draw, n)
-        normals, values = map(np.concatenate, zip(*chunks))
-        finite = np.isfinite(values)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            refuse(i, float(values[i]))
-        defect = np.abs(values)
-        i = int(np.argmax(defect))  # the first maximum, as below
-        return DefectReport(sup_abs=float(defect[i]), samples=n,
-                            argmax_tuple=sampler.points(normals[i]), seed=seed)
-
-    sup_abs = -1.0
-    witness = None
-    visited = 0
-
-    def visit(candidate):
-        nonlocal sup_abs, witness, visited
-        value = g(*candidate)
-        if not math.isfinite(value):
-            refuse(visited, value)
-        visited += 1
-        if abs(value) > sup_abs:
-            sup_abs = abs(value)
-            witness = tuple(candidate)
-
-    for_each_tuple(sampler, rng, n, visit)
-    return DefectReport(sup_abs=sup_abs, samples=n, argmax_tuple=witness, seed=seed)
+    batches, points = draw_batches(sampler, rng, n)
+    if g.batch is not None and batches[0][1] is not None:
+        values = np.concatenate([g.batch(coords) for _, coords in batches])
+    else:
+        values = np.array([g(*points(row)) for rows, _ in batches for row in rows])
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise EvaluationError(f"coboundary value {float(values[i])!r} at sample {i} is not finite")
+    i = int(np.argmax(np.abs(values)))  # the first maximum
+    sup_abs = abs(float(values[i]))
+    for rows, _ in batches:  # the witness's batch, by offset
+        if i < len(rows):
+            break
+        i -= len(rows)
+    return DefectReport(sup_abs=sup_abs, samples=n, argmax_tuple=points(rows[i]), seed=seed)

@@ -2,10 +2,11 @@
 
 Every command produces a ReportEnvelope: a plain-data record holding the
 command name, the seed, a config echo (with tolerances), flat result rows,
-summary statistics and the package version.  Bulk results are held as
-ResultColumns, which read as rows but are encoded column by column.
-Serialization is deterministic (sorted keys, stable row order, repr-based
-floats), so a fixed seed reproduces reports byte for byte.
+summary statistics and the package version.  Results are ResultColumns,
+which read as rows, or a list of row dicts with one key set and scalar
+cells, read as ResultColumns.from_rows; one writer encodes them column by
+column.  Serialization is deterministic (sorted keys, stable row order,
+repr-based floats), so a fixed seed reproduces reports byte for byte.
 
 JSON reports are single objects with exactly the keys
 command/seed/config/results/summary/version, in the bytes of
@@ -30,7 +31,7 @@ import json
 import math
 import os
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -52,6 +53,7 @@ ESCAPE_LO_DEFAULT = 1e-3
 MODELS = ("S1", "Sn", "complex_hyperbolic", "flags3")
 
 ROW_BLOCK = 4096  # rows per block of the bulk row kernels and per written piece
+HISTOGRAM_BINS = 40  # bins of every invariant histogram
 
 
 @dataclass(frozen=True)
@@ -106,6 +108,15 @@ class ResultColumns(Sequence):
             raise ValueError("result columns differ in length")
         self.columns = columns
 
+    @classmethod
+    def from_rows(cls, rows):
+        """The columns of a list of row dicts that all have the first row's keys."""
+        keys = rows[0].keys() if rows else {}
+        for i, row in enumerate(rows):
+            if row.keys() != keys:
+                raise ValueError(f"row {i} keys {[*row]} not in fieldnames {[*keys]} or missing")
+        return cls({key: [row[key] for row in rows] for key in keys})
+
     def __len__(self) -> int:
         return len(next(iter(self.columns.values()), ()))
 
@@ -148,7 +159,7 @@ def _cells(column, quote: str):
 class ReportEnvelope:
     """Machine-readable result record; reproducible bit-for-bit per seed.
 
-    `results` is a list of row dicts or a ResultColumns.
+    `results` is a ResultColumns, or a list of row dicts with one key set.
     """
 
     command: str
@@ -327,10 +338,9 @@ def quantile_summary(values: np.ndarray) -> dict:
     return {f"q{int(100 * q):02d}": float(v) for q, v in zip(qs, levels)}
 
 
-def histogram_summary(values: np.ndarray, bins: int = 40) -> dict:
-    counts, edges = np.histogram(values, bins=bins)
-    return {"counts": [int(c) for c in counts],
-            "edges": [float(e) for e in edges]}
+def histogram_summary(values: np.ndarray) -> dict:
+    counts, edges = np.histogram(values, bins=HISTOGRAM_BINS)
+    return {"counts": counts.tolist(), "edges": edges.tolist()}
 
 
 def summarize_invariant(name: str, values: np.ndarray, histogram_values=None):
@@ -354,18 +364,16 @@ def summarize_invariant(name: str, values: np.ndarray, histogram_values=None):
     return results, summary
 
 
-def compactness_probe(model: str, invariant_name: str, config: SamplerConfig,
+def compactness_probe(invariant_name: str, config: SamplerConfig,
                       escape_hi: float = ESCAPE_HI_DEFAULT,
                       escape_lo: float = ESCAPE_LO_DEFAULT) -> ReportEnvelope:
-    """Histogram an invariant over generic tuples and classify its range.
+    """Histogram an invariant over config's generic tuples and classify its range.
 
     Verdict `bounded-range` means every observed value fell in the model's
     compact reference set; `escape-detected` means values crossed the
     escape thresholds or approached the excluded points {0, 1} (triple
     ratio), signalling a non-compact configuration space.
     """
-    if config.model != model:
-        config = replace(config, model=model)
     values = invariant_values(config, invariant_name)
     magnitudes = np.abs(values)
     results, summary = summarize_invariant(
@@ -434,10 +442,10 @@ def _write_report(envelope: ReportEnvelope, format: str, stream) -> None:
 def _report_pieces(envelope: ReportEnvelope, format: str):
     """The report's text as an iterator of pieces, once all of it is validated.
 
-    Row lists are encoded in full here, as one piece.  For ResultColumns,
-    the column names and every column are checked and the rest of the
-    envelope is encoded; each later piece then holds at most ROW_BLOCK
-    rows.  A refusal raises here, before anything is written.
+    A list of row dicts is read as ResultColumns.from_rows.  The column
+    names and every column are checked and the rest of the envelope is
+    encoded; each later piece then holds at most ROW_BLOCK rows.  A
+    refusal raises here, before anything is written.
     """
     if format not in ("json", "csv"):
         raise ValueError(f"unknown report format {format!r}")
@@ -445,7 +453,7 @@ def _report_pieces(envelope: ReportEnvelope, format: str):
     if format == "csv" and not results:
         raise ValueError("cannot emit CSV for an empty results list")
     if not isinstance(results, ResultColumns):
-        return iter([_rows_text(envelope, format)])
+        results = ResultColumns.from_rows(results)
     for column in (list(results.columns), *results.columns.values()):
         _check_column(column, format)
     if format == "csv":
@@ -493,20 +501,6 @@ def _json_text(data) -> str:
         return json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:  # NaN and infinities are not JSON
         raise UnencodableReport(str(exc)) from exc
-
-
-def _rows_text(envelope: ReportEnvelope, format: str) -> str:
-    """The whole report for a list of row dicts; CSV has the first row's keys as header."""
-    if format == "json":
-        return _json_text(envelope.to_dict())
-    rows = envelope.results
-    for row in rows:
-        _check_column([*row, *row.values()], format)
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=list(rows[0]), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buffer.getvalue()
 
 
 def _json_pieces(results: ResultColumns, text: str):

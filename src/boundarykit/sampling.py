@@ -1,10 +1,11 @@
 """Seeded samplers for boundary tuples, model points and test cochains.
 
 A tuple sampler is a callable `sampler(rng) -> tuple | None`; None marks a
-rejected (non-generic) draw.  `rejection_loop`, allowed DRAW_BUDGET draws
-per tuple, is the one rejection loop: `for_each_tuple` and `draw_tuples`
-run tuple samplers through it, as do `cochains.empirical_sup_defect` and
-the batch samplers (`SphereTupleSampler.draw` and those in `reports`).
+rejected (non-generic) draw.  A batch sampler (SphereTupleSampler) adds
+`draw(rng, m)`, the accepted (rows, coords) of m candidates, and
+`points(row)`; `batch_sampler` gives any sampler that form, so
+`rejection_loop`, allowed DRAW_BUDGET draws per tuple, is the one loop:
+`draw_batches` runs it over `draw`, as the bulk sampler in `reports` does.
 `task_seed` splits a master seed into independent per-task seeds,
 counter-based, so tasks stay deterministic whatever order they run in.
 """
@@ -51,26 +52,37 @@ def rejection_loop(draw, n: int) -> int:
     return draws
 
 
-def for_each_tuple(sampler, rng, n: int, visit) -> int:
-    """Pass each of n accepted `sampler(rng)` tuples to `visit`; return draws."""
+def batch_sampler(sampler):
+    """(draw, points): a SphereTupleSampler's own, or for a plain `sampler(rng)`
+    a `draw(rng, m)` that makes m calls and returns the accepted tuples as its
+    rows, with coordinates None, and `tuple`.
+    """
+    if isinstance(sampler, SphereTupleSampler):
+        return sampler.draw, sampler.points
 
-    def draw(m):
-        hits = 0
-        for _ in range(m):
-            candidate = sampler(rng)
-            if candidate is not None:
-                visit(candidate)
-                hits += 1
-        return hits
+    def draw(rng, m):
+        return [c for c in (sampler(rng) for _ in range(m)) if c is not None], None
 
-    return rejection_loop(draw, n)
+    return draw, tuple
+
+
+def draw_batches(sampler, rng, n: int):
+    """(batches, points): the accepted (rows, coords) of each `draw` for n tuples."""
+    draw, points = batch_sampler(sampler)
+    batches = []
+
+    def take(m):
+        batches.append(draw(rng, m))
+        return len(batches[-1][0])
+
+    rejection_loop(take, n)
+    return batches, points
 
 
 def draw_tuples(sampler, rng, n: int) -> list:
     """Collect n accepted tuples; raise SamplerExhausted past the budget."""
-    out = []
-    for_each_tuple(sampler, rng, n, out.append)
-    return out
+    batches, points = draw_batches(sampler, rng, n)
+    return [points(row) for rows, _ in batches for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +185,14 @@ def coordinate_cochain(index: int = 0) -> Cochain:
 
 
 def random_mixed_cochain(model_arity: int, boundary_arity: int, rng,
-                         dim: int = 2, invariant: bool = False) -> Cochain:
+                         invariant: bool = False) -> Cochain:
     """Smooth cochain with model and boundary slots.
 
     Built from radial-basis terms in the pairwise hyperbolic distances of
     the model points and from model-boundary Lorentz pairings.  With
     `invariant=True` only isometry-invariant features (distances and pairing
     ratios) are used, so the cochain is invariant under the ambient group.
-    The features work in every dimension, so `dim` does not change the cochain.
+    The features work in every dimension.
     """
     mm_pairs = [(i, j) for i in range(model_arity) for j in range(i + 1, model_arity)]
     mm_w = rng.standard_normal(len(mm_pairs))

@@ -14,8 +14,7 @@ of u = z, 1/(1-z) and (z-1)/z, so the kernel never shifts by the float pi.
 One kernel evaluates the Lobachevsky function: `lobachevsky_batch`, a
 zeta-accelerated expansion exact to machine precision.  Each scalar
 function (`lobachevsky`, `vol3_from_cross_ratio`, `vol2`, `vol3`) is a
-one-element call of its array form.  LobachevskyEvaluator, the truncated
-Fourier series with an explicit tail bound, checks the kernel in the tests.
+one-element call of its array form.
 """
 
 from __future__ import annotations
@@ -65,26 +64,6 @@ def lobachevsky_batch(theta: np.ndarray) -> np.ndarray:
     # L(0) = 0: every term carries a factor x, so log(2) stands in for log(0)
     safe = np.where(x == 0.0, 1.0, x)
     return x - x * np.log(np.abs(2.0 * safe)) + x * series
-
-
-class LobachevskyEvaluator:
-    """Truncated-series evaluation with a guaranteed absolute error bound.
-
-    The tail of 1/2 sum sin(2n theta)/n^2 beyond N is at most 1/(2N) in
-    absolute value, which `tail_bound` records.
-    """
-
-    def __init__(self, truncation: int = 10 ** 6):
-        if truncation < 1:
-            raise ValueError("truncation must be positive")
-        self.truncation = int(truncation)
-        self.tail_bound = 0.5 / self.truncation
-        n = np.arange(1, self.truncation + 1, dtype=np.float64)
-        self._n = n
-        self._inv_n2 = 1.0 / n ** 2
-
-    def __call__(self, theta: float) -> float:
-        return 0.5 * float(np.sin(2.0 * theta * self._n) @ self._inv_n2)
 
 
 def circle_orientation(u, v, w):

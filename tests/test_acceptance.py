@@ -82,7 +82,7 @@ def test_criterion_03_cone_homotopy_identity():
     failures = []
     worst = 0.0
     for p in (1, 2, 3):
-        f = random_mixed_cochain(p + 1, 3, rng, dim=2)
+        f = random_mixed_cochain(p + 1, 3, rng)
         for _ in range(100):
             models = tuple(random_hyperbolic_point(rng, 2) for _ in range(p + 1))
             boundary = tuple(random_boundary_point(rng, 2) for _ in range(3))
@@ -197,11 +197,11 @@ def test_criterion_06_flag_genericity_and_triple_ratio():
 def test_criterion_07_configuration_probes():
     start = time.time()
     failures = []
-    s1 = bk.compactness_probe("S1", "orientation_class",
+    s1 = bk.compactness_probe("orientation_class",
                               bk.SamplerConfig(model="S1", count=10_000, seed=107))
     if s1.summary["classes_observed"] != [-1.0, 1.0]:
         failures.append(f"orientation classes {s1.summary['classes_observed']}")
-    flags = bk.compactness_probe("flags3", "triple_ratio",
+    flags = bk.compactness_probe("triple_ratio",
                                  bk.SamplerConfig(model="flags3", count=100_000,
                                                   seed=108))
     if flags.summary["verdict"] != "escape-detected":

@@ -21,12 +21,12 @@ FAST_GRID = GridConfig(points_per_region=2000)
 
 def smooth_real():
     return ScalarFunction(evaluator=lambda x: math.exp(-(x - 0.5) ** 2),
-                          field_tag="real", name="gauss")
+                          field_tag="real")
 
 
 def smooth_complex():
     return ScalarFunction(evaluator=lambda z: math.exp(-abs(complex(z) - 0.5) ** 2),
-                          field_tag="complex", name="gauss")
+                          field_tag="complex")
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +463,15 @@ def test_a_raising_batch_is_refused_at_the_failing_point(certify, field, delta):
     scalar = float if field == "real" else complex
     assert repr(scalar(point)) == point  # a plain repr, not a numpy scalar's
     assert 0.99 < abs(scalar(point)) < 1
+
+
+@pytest.mark.parametrize("certify, field, delta", REGIONS)
+def test_a_complex_valued_batch_is_not_certified_on_its_real_part(certify, field, delta):
+    # without the batch F is refused: float() of a complex value raises TypeError
+    F = ScalarFunction(lambda x: 0.5 + 1e9j, field,
+                       batch=lambda x: np.full(x.shape, 0.5 + 1e9j))
+    with pytest.raises(EvaluationError, match="evaluator raised TypeError at point"):
+        certify(F, delta=delta, grid=GridConfig(100))
 
 
 def test_sector_membership_on_its_boundary():

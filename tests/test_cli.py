@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 import os
 import pathlib
@@ -198,6 +200,38 @@ def test_stdout_report_matches_the_file_report(tmp_path, capsys, fmt):
     capsys.readouterr()
     assert main(argv) == 0
     assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
+# the CSV column order of the row-list reports, as README "Report formats" gives it
+VERIFY_COLUMNS = ["check", "samples", "sup_abs", "tolerance", "passed"]
+CERTIFICATE_COLUMNS = ["function", "field", "kind", "delta", "certified_bound", "C", "k_max",
+                       "B_defect", "M_base", "M_near2", "provenance_B_defect",
+                       "provenance_M_base", "provenance_M_near2"]
+REFUSAL_COLUMNS = ["function", "refused", "reason"]
+
+
+@pytest.mark.parametrize("argv, code, columns", [
+    (["verify-cocycle", "--count", "300"], 0, VERIFY_COLUMNS),
+    (["verify-cocycle", "--count", "300", "--tol", "1e-30"], 1, VERIFY_COLUMNS),
+    (["certify-bound", "--function", "bump", "--field", "real", "--grid", "1500"], 0,
+     CERTIFICATE_COLUMNS),
+    (["certify-bound", "--function", "vol3-slice", "--grid", "1500"], 0, CERTIFICATE_COLUMNS),
+    (["certify-bound", "--function", "pole", "--field", "complex", "--grid", "1500"], 1,
+     REFUSAL_COLUMNS),
+], ids=["verify-passed", "verify-failed", "bump-real", "vol3-slice-complex", "pole-refused"])
+def test_row_list_reports_are_the_bytes_of_json_dump_and_dictwriter(tmp_path, argv, code,
+                                                                    columns):
+    assert run_to_file(tmp_path, "r.json", argv + COMMON)[0] == code
+    data = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
+    buffer = io.StringIO()
+    json.dump(data, buffer, sort_keys=True, indent=2)
+    assert (tmp_path / "r.json").read_bytes() == (buffer.getvalue() + "\n").encode("utf-8")
+    assert run_to_file(tmp_path, "r.csv", argv + COMMON + ["--format", "csv"])[0] == code
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=columns, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(data["results"])
+    assert (tmp_path / "r.csv").read_bytes() == buffer.getvalue().encode("utf-8")
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])

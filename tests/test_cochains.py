@@ -85,7 +85,7 @@ def test_alternating_projection_idempotent_and_fixes_alternating():
     f = random_smooth_cochain(3, rng)
     proj = alternating_projection(f)
     proj2 = alternating_projection(proj)
-    vol2_cochain = Cochain(arity=3, evaluator=vol2, alternating=True)
+    vol2_cochain = Cochain(arity=3, evaluator=vol2)
     proj_vol2 = alternating_projection(vol2_cochain)
     for _ in range(50):
         pts = sphere_tuple(rng, 3)
@@ -113,7 +113,7 @@ def test_alternate_arity_guard():
 
 def test_declared_alternating_cochains_pass_spot_checks():
     rng = np.random.default_rng(70)
-    vol2_cochain = Cochain(arity=3, evaluator=vol2, alternating=True)
+    vol2_cochain = Cochain(arity=3, evaluator=vol2)
     tuples = [sphere_tuple(rng, 3) for _ in range(50)]
     assert alternation_spot_check(vol2_cochain, tuples)
     not_alternating = random_smooth_cochain(3, rng)
@@ -127,7 +127,7 @@ def test_declared_alternating_cochains_pass_spot_checks():
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_cone_homotopy_identity(p):
     rng = np.random.default_rng(80 + p)
-    f = random_mixed_cochain(p + 1, 3, rng, dim=2)
+    f = random_mixed_cochain(p + 1, 3, rng)
     for _ in range(30):
         models = tuple(random_hyperbolic_point(rng, 2) for _ in range(p + 1))
         boundary = sphere_tuple(rng, 3)
@@ -153,7 +153,7 @@ def test_cone_homotopy_constant_model_case():
 
 def test_cone_homotopy_equivariance():
     rng = np.random.default_rng(85)
-    f = random_mixed_cochain(2, 3, rng, dim=3, invariant=True)
+    f = random_mixed_cochain(2, 3, rng, invariant=True)
     for _ in range(20):
         models = tuple(random_hyperbolic_point(rng, 3) for _ in range(2))
         boundary = sphere_tuple(rng, 3, dim=3)
@@ -187,7 +187,7 @@ def test_cone_homotopy_needs_model_slots_and_boundary_triple():
 
 
 def test_sup_defect_of_vol3_is_quadrature_limited():
-    f = Cochain(arity=4, evaluator=vol3, alternating=True)
+    f = Cochain(arity=4, evaluator=vol3)
     report = empirical_sup_defect(f, chart_tuple_sampler(5), 200, seed=5)
     assert report.sup_abs <= 1e-7
     assert report.samples == 200
@@ -202,7 +202,7 @@ def test_sup_defect_of_a_coboundary_vanishes():
 
 
 def test_sup_defect_deterministic_and_witness_reproduces():
-    f = Cochain(arity=3, evaluator=vol2, alternating=True)
+    f = Cochain(arity=3, evaluator=vol2)
     r1 = empirical_sup_defect(f, circle_tuple_sampler(4), 100, seed=9)
     r2 = empirical_sup_defect(f, circle_tuple_sampler(4), 100, seed=9)
     assert r1.sup_abs == r2.sup_abs
@@ -274,7 +274,8 @@ def test_batch_draws_are_the_per_tuple_draws_bit_for_bit(name, seed):
     reference = draw_tuples(one_point_at_a_time(sampler), np.random.default_rng(seed), 1000)
     normals, coords, draws = batch_draws(sampler, seed, 1000)
     assert np.array_equal(coords, [coordinates(t) for t in reference])
-    tuples = draw_tuples(sampler, np.random.default_rng(seed), 1000)  # one tuple per call
+    # one tuple per call, through the plain-sampler adapter
+    tuples = draw_tuples(lambda rng: sampler(rng), np.random.default_rng(seed), 1000)
     assert all(np.array_equal(coordinates(a), coordinates(b)) for a, b in zip(tuples, reference))
     for i in (0, 999):  # point objects rebuilt from a tuple's draws
         assert np.array_equal(coordinates(sampler.points(normals[i])), coordinates(reference[i]))
@@ -318,6 +319,22 @@ def test_batch_witness_is_the_first_maximizing_tuple():
     assert np.array_equal(coordinates(report.argmax_tuple), coordinates(first))
 
 
+def test_the_witness_is_found_in_a_later_batch_on_every_path():
+    f = Cochain(arity=3, evaluator=lambda x, y, z: x.direction[0] * y.direction[1] - z.direction[0],
+                batch=lambda p: p[:, 0, 0] * p[:, 1, 1] - p[:, 2, 0])
+    sampler = SAMPLERS["circle-rejecting"]  # accepts about 8% of draws: many batches
+    first_batch = len(sampler.draw(np.random.default_rng(7), 100)[0])
+    tuples = draw_tuples(one_point_at_a_time(sampler), np.random.default_rng(7), 100)
+    values = np.abs(coboundary(f).batch(np.array([coordinates(t) for t in tuples])))
+    witness = int(np.argmax(values))
+    assert witness >= first_batch
+    for cochain, tuple_sampler in ((f, sampler), (Cochain(3, f.evaluator), sampler),
+                                   (f, one_point_at_a_time(sampler))):
+        report = empirical_sup_defect(cochain, tuple_sampler, 100, seed=7)
+        assert report.sup_abs == pytest.approx(values[witness], abs=1e-15)
+        assert np.array_equal(coordinates(report.argmax_tuple), coordinates(tuples[witness]))
+
+
 def test_batch_vol3_refuses_chart_coincident_points():
     p, q, r, s = (np.array(cp.coords) for cp in draw_tuples(
         chart_tuple_sampler(4), np.random.default_rng(5), 1)[0])
@@ -353,11 +370,11 @@ class RecordingSampler(SphereTupleSampler):
         return super().draw(rng, m)
 
 
-def test_a_cochain_without_batch_takes_the_per_tuple_path():
+def test_a_cochain_without_batch_draws_one_batch_and_evaluates_tuple_by_tuple():
     sampler = RecordingSampler(2, 4)
     report = empirical_sup_defect(Cochain(arity=3, evaluator=vol2), sampler, 20, seed=3)
     assert report.samples == 20 and report.sup_abs == 0.0
-    assert sampler.sizes == [1] * 20  # one tuple per sampler call
+    assert sampler.sizes == [20]  # the random numbers of 20 one-tuple calls
     sampler.sizes.clear()
     assert empirical_sup_defect(VOL2, sampler, 20, seed=3).sup_abs == 0.0
     assert sampler.sizes == [20]

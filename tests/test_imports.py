@@ -1,6 +1,6 @@
 """Every module of the package uses each name it imports at top level, and
 every top-level function and class, and every public method and property of
-a top-level class, is used somewhere."""
+a top-level class, is used somewhere, and every dataclass field is read."""
 
 import ast
 import collections
@@ -92,3 +92,33 @@ def test_every_public_method_is_referenced():
                 if references[method.name] == own_body:
                     unused.append(f"{path.stem}.{cls.name}.{method.name}")
     assert unused == []
+
+
+# written whole into reports by dataclasses.asdict, so each field is read there
+WRITTEN_WHOLE = {"RegionSpec", "SamplerConfig"}
+
+
+def is_dataclass(cls):
+    for decorator in cls.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read():
+    # this file reads `.name` and the like on AST nodes, which are no reads
+    files = sorted(PACKAGE.glob("*.py")) + sorted(p for p in TESTS.glob("*.py")
+                                                  if p.name != "test_imports.py")
+    read = {node.attr for path in files
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path in MODULES:
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(cls, ast.ClassDef) and is_dataclass(cls)
+                    and cls.name not in WRITTEN_WHOLE):
+                unread.extend(f"{path.stem}.{cls.name}.{field.target.id}" for field in cls.body
+                              if isinstance(field, ast.AnnAssign)
+                              and field.target.id not in read)
+    assert unread == []

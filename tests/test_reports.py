@@ -82,14 +82,14 @@ def test_invariant_values_validation():
 
 
 def test_probe_orientation_classes():
-    env = compactness_probe("S1", "orientation_class",
+    env = compactness_probe("orientation_class",
                             SamplerConfig(model="S1", count=4000, seed=3))
     assert env.summary["classes_observed"] == [-1.0, 1.0]
     assert env.summary["verdict"] == "bounded-range"
 
 
 def test_probe_cartan_bounded_range():
-    env = compactness_probe("complex_hyperbolic", "cartan",
+    env = compactness_probe("cartan",
                             SamplerConfig(model="complex_hyperbolic",
                                           count=5000, seed=4))
     assert env.summary["verdict"] == "bounded-range"
@@ -98,7 +98,7 @@ def test_probe_cartan_bounded_range():
 
 
 def test_probe_triple_ratio_escape():
-    env = compactness_probe("flags3", "triple_ratio",
+    env = compactness_probe("triple_ratio",
                             SamplerConfig(model="flags3", count=50_000, seed=5))
     assert env.summary["verdict"] == "escape-detected"
     assert env.summary["abs_max"] > 1e3
@@ -114,7 +114,7 @@ def test_the_triple_ratio_probe_makes_only_its_log_histogram(monkeypatch):
     histogram = reports.histogram_summary
     monkeypatch.setattr(reports, "histogram_summary",
                         lambda v, *args: calls.append(v) or histogram(v, *args))
-    env = compactness_probe("flags3", "triple_ratio", config)
+    env = compactness_probe("triple_ratio", config)
     assert len(calls) == 1
     assert env.summary["histogram"] == histogram(np.log10(np.abs(values)))
     assert env.summary["histogram_scale"] == "log10(|T|)"
@@ -123,7 +123,7 @@ def test_the_triple_ratio_probe_makes_only_its_log_histogram(monkeypatch):
 
 
 def test_envelope_has_seed_and_tolerances():
-    env = compactness_probe("S1", "orientation_class",
+    env = compactness_probe("orientation_class",
                             SamplerConfig(model="S1", count=100, seed=6))
     assert env.seed == 6
     assert env.config["tolerance"] > 0
@@ -133,7 +133,7 @@ def test_envelope_has_seed_and_tolerances():
 
 
 def test_json_round_trip(tmp_path):
-    env = compactness_probe("S1", "orientation_class",
+    env = compactness_probe("orientation_class",
                             SamplerConfig(model="S1", count=50, seed=7))
     path = tmp_path / "report.json"
     emit_report(env, "json", path)
@@ -141,18 +141,18 @@ def test_json_round_trip(tmp_path):
 
 
 def test_json_emission_is_byte_stable(tmp_path):
-    env = compactness_probe("flags3", "triple_ratio",
+    env = compactness_probe("triple_ratio",
                             SamplerConfig(model="flags3", count=500, seed=8))
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     emit_report(env, "json", p1)
-    env2 = compactness_probe("flags3", "triple_ratio",
+    env2 = compactness_probe("triple_ratio",
                              SamplerConfig(model="flags3", count=500, seed=8))
     emit_report(env2, "json", p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_csv_round_trip(tmp_path):
-    env = compactness_probe("S1", "orientation_class",
+    env = compactness_probe("orientation_class",
                             SamplerConfig(model="S1", count=20, seed=9))
     path = tmp_path / "report.csv"
     emit_report(env, "csv", path)
@@ -208,14 +208,11 @@ ORACLE_ENVELOPES = [
                    summary={"count": 0}),
     ReportEnvelope(command="x", seed=0, config={},
                    results=ResultColumns({"only": [1.5]}), summary={}),
-    # refusal rows and rows with differing key sets take the row path
+    # a list of row dicts is written as its columns
     ReportEnvelope(command="certify-bound", seed=1, config={"delta": 0.1},
                    results=[{"function": "pole", "refused": True,
                              "reason": "doubling defect 1.2e+06 at point (0.9+0.01j)"}],
                    summary={"refused": True, "reason": "r"}),
-    ReportEnvelope(command="x", seed=2, config={},
-                   results=[{"a": 1, "b": [1, 2]}, {"c": None}, {"a": -0.0, "d": {"e": "é"}}],
-                   summary={}),
 ]
 
 
@@ -239,20 +236,41 @@ def dictwriter_csv(rows):
     return buffer.getvalue()
 
 
-@pytest.mark.parametrize("env", [e for e in ORACLE_ENVELOPES if e.results][:-1])
+@pytest.mark.parametrize("env", [e for e in ORACLE_ENVELOPES if e.results])
 def test_csv_writer_equals_dictwriter(env):
     stream = io.StringIO()
     _write_report(env, "csv", stream)
     assert stream.getvalue() == dictwriter_csv(list(env.results))
 
 
+DIFFERING_KEYS = ReportEnvelope(
+    command="x", seed=2, config={}, summary={},
+    results=[{"a": 1, "b": [1, 2]}, {"c": None}, {"a": -0.0, "d": {"e": "é"}}])
+
+
+def assert_refused_before_writing(env, format, tmp_path, error, match):
+    stream = io.StringIO()
+    with pytest.raises(error, match=match):
+        _write_report(env, format, stream)
+    assert stream.getvalue() == ""
+    with pytest.raises(error, match=match):
+        emit_report(env, format, tmp_path / f"r.{format}")
+    assert list(tmp_path.iterdir()) == []  # neither the report nor its .tmp file
+
+
 def test_csv_refuses_rows_with_keys_beyond_the_header(tmp_path):
-    env = ORACLE_ENVELOPES[-1]
     with pytest.raises(ValueError, match="not in fieldnames"):
-        dictwriter_csv(list(env.results))
-    with pytest.raises(ValueError, match="not in fieldnames"):
-        emit_report(env, "csv", tmp_path / "r.csv")
-    assert not (tmp_path / "r.csv").exists()
+        dictwriter_csv(list(DIFFERING_KEYS.results))
+    assert_refused_before_writing(DIFFERING_KEYS, "csv", tmp_path, ValueError,
+                                  "not in fieldnames")
+
+
+def test_json_refuses_rows_with_differing_keys_or_nested_cells(tmp_path):
+    assert_refused_before_writing(DIFFERING_KEYS, "json", tmp_path, ValueError,
+                                  "not in fieldnames")
+    nested = ReportEnvelope(command="x", seed=2, config={}, summary={},
+                            results=[{"a": 1, "b": [1, 2]}, {"a": 2, "b": None}])
+    assert_refused_before_writing(nested, "json", tmp_path, TypeError, "JSON scalars only")
 
 
 def test_numpy_scalars_in_list_columns_are_written_as_python_numbers():

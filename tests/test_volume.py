@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from boundarykit import (MAX_VOL3, DegenerateTuple, LobachevskyEvaluator,
-                         MoebiusMap, ProjectivePoint, RealBoundaryPoint,
-                         apply_moebius, lobachevsky, vol2, vol3,
+from boundarykit import (MAX_VOL3, DegenerateTuple, MoebiusMap, ProjectivePoint,
+                         RealBoundaryPoint, apply_moebius, lobachevsky, vol2, vol3,
                          vol3_from_cross_ratio)
 from boundarykit.sampling import chart_tuple_sampler, draw_tuples
 from boundarykit.volume import lobachevsky_batch, vol3_from_cross_ratio_batch
@@ -25,6 +24,26 @@ def cp(value):
 
 # ---------------------------------------------------------------------------
 # Lobachevsky function
+
+
+class LobachevskyEvaluator:
+    """The kernel's independent reference: the truncated Fourier series.
+
+    The tail of 1/2 sum sin(2n theta)/n^2 beyond N is at most 1/(2N) in
+    absolute value, which `tail_bound` records.
+    """
+
+    def __init__(self, truncation: int = 10 ** 6):
+        if truncation < 1:
+            raise ValueError("truncation must be positive")
+        self.truncation = int(truncation)
+        self.tail_bound = 0.5 / self.truncation
+        n = np.arange(1, self.truncation + 1, dtype=np.float64)
+        self._n = n
+        self._inv_n2 = 1.0 / n ** 2
+
+    def __call__(self, theta: float) -> float:
+        return 0.5 * float(np.sin(2.0 * theta * self._n) @ self._inv_n2)
 
 
 def test_lobachevsky_zeros_and_oddness():
