@@ -140,7 +140,7 @@ def _cmd_certify_bound(args) -> int:
     F = _FUNCTIONS[args.function](args.field)
     grid = GridConfig(points_per_region=args.grid)
     config = {"function": args.function, "field": args.field,
-              "delta": args.delta, "grid": args.grid, "tolerance": args.tol}
+              "delta": args.delta, "grid": args.grid}
     try:
         if args.field == "complex":
             cert = certify_complex_region(F, delta=args.delta, grid=grid)
@@ -190,16 +190,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=True, count=True, tol_default=EPS_DIST):
+    def common(p, model=True, sampled=True, tol_default=EPS_DIST):
         if model:
             p.add_argument("--model", default="S1", choices=MODELS)
             p.add_argument("--n", type=int, default=None,
                            help="hyperbolic dimension for Sn / complex_hyperbolic")
             p.add_argument("--size", type=int, default=3, help="tuple size")
-        if count:
+        if sampled:  # a count of tuples and their tolerance
             p.add_argument("--count", type=int, default=1000)
+            p.add_argument("--tol", type=float, default=tol_default)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol", type=float, default=tol_default)
         p.add_argument("--format", default="json", choices=["json", "csv"])
         p.add_argument("--out", default=None)
 
@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_cocycle)
 
     p = sub.add_parser("certify-bound", help="run the doubling-recursion certifier")
-    common(p, model=False, count=False)
+    common(p, model=False, sampled=False)
     p.add_argument("--function", default="vol3-slice", choices=sorted(_FUNCTIONS))
     p.add_argument("--field", default="complex", choices=["real", "complex"])
     p.add_argument("--delta", type=float, default=None)

@@ -209,7 +209,7 @@ def empirical_sup_defect(f: Cochain, sampler, n: int, seed: int = 0) -> DefectRe
 
     `sampler(rng)` must return a tuple of f.arity + 1 points, or None for a
     rejected (non-generic) draw.  With f.batch and a sampler that gives
-    coordinates (`SphereTupleSampler`), delta f is evaluated on arrays, else
+    coordinates (a `TupleSampler`), delta f is evaluated on arrays, else
     tuple by tuple; the witness is the first maximizing tuple.  Deterministic
     for a fixed seed; raises SamplerExhausted past sampling.DRAW_BUDGET * n
     draws, and EvaluationError, naming the sample's index, at the first
@@ -221,7 +221,7 @@ def empirical_sup_defect(f: Cochain, sampler, n: int, seed: int = 0) -> DefectRe
 
     g = coboundary(f)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    batches, points = draw_batches(sampler, rng, n)
+    batches, points, _ = draw_batches(sampler, rng, n)
     if g.batch is not None and batches[0][1] is not None:
         values = np.concatenate([g.batch(coords) for _, coords in batches])
     else:

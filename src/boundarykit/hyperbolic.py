@@ -113,6 +113,17 @@ class ComplexBoundaryPoint:
         return f"ComplexBoundaryPoint({self.lift.tolist()})"
 
 
+def canonical_lifts(z) -> np.ndarray:
+    """ComplexBoundaryPoint(row).lift of each row of the (m, n + 1) lifts z, bit
+    for bit: unit norm, and the first coordinate of largest modulus p made
+    positive real by the factor |p| / p."""
+    z = z / np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))[:, None]
+    # the point takes np.abs of its array, then abs() of one coordinate, which
+    # is np.hypot; np.abs of a complex array is not always np.hypot
+    p = np.take_along_axis(z, np.argmax(np.abs(z), axis=1)[:, None], axis=1)
+    return z * (np.hypot(p.real, p.imag) / p)
+
+
 class HyperbolicPoint:
     """A point of H^n in the hyperboloid model: q(lift) = -1, last coord > 0.
 

@@ -1,4 +1,4 @@
-"""Batch sampling, configuration-space probes, and report serialization.
+"""Sampled columns, configuration-space probes, and report serialization.
 
 Every command produces a ReportEnvelope: a plain-data record holding the
 command name, the seed, a config echo (with tolerances), flat result rows,
@@ -14,13 +14,11 @@ command/seed/config/results/summary/version, in the bytes of
 contain the result rows under a header equal to the row keys;
 `read_report_csv` reads them back.
 
-Bulk work runs in blocks of ROW_BLOCK rows, so its working set does not
-grow with the row count beyond the arrays it returns.  The sampler makes
-its random-number calls for a whole batch, then lifts and masks it block
-by block, writing accepted rows into one array.  A report is validated in
-full first (the envelope encoded, every column checked), then written in
-pieces of at most ROW_BLOCK rows; so a refused report writes nothing, and
-a failed write leaves no file (see `emit_report`).
+Each model samples through its `sampling` tuple sampler.  A
+report is validated in full first (the envelope encoded, every column
+checked), then written in pieces of at most sampling.ROW_BLOCK rows, so its
+working set does not grow with the row count; a refused report writes
+nothing, and a failed write leaves no file (see `emit_report`).
 """
 
 from __future__ import annotations
@@ -38,12 +36,11 @@ import numpy as np
 
 from . import flags as flags_mod
 from .errors import UnencodableReport, UnknownInvariant
-from .flags import Flag3, batch_normalize_flags
-from .hyperbolic import (ComplexBoundaryPoint, RealBoundaryPoint,
-                         cartan_invariant_batch, complex_chordal_distance,
-                         real_chordal_distance)
+from .flags import batch_normalize_flags
+from .hyperbolic import canonical_lifts, cartan_invariant_batch
 from .projective import EPS_DIST
-from .sampling import _mask_generic, rejection_loop
+from .sampling import (ComplexTupleSampler, FlagTupleSampler, SphereTupleSampler, _blocks,
+                       draw_batches)
 from .version import __version__
 from .volume import circle_orientation
 
@@ -52,7 +49,6 @@ ESCAPE_LO_DEFAULT = 1e-3
 
 MODELS = ("S1", "Sn", "complex_hyperbolic", "flags3")
 
-ROW_BLOCK = 4096  # rows per block of the bulk row kernels and per written piece
 HISTOGRAM_BINS = 40  # bins of every invariant histogram
 
 
@@ -176,86 +172,25 @@ class ReportEnvelope:
 
 
 # ---------------------------------------------------------------------------
-# vectorized candidate generation
+# sampling
 
 
-def _blocks(n: int):
-    """Slices of at most ROW_BLOCK consecutive rows, covering range(n) in order."""
-    return (slice(start, min(start + ROW_BLOCK, n)) for start in range(0, n, ROW_BLOCK))
-
-
-def _batch_flags(rng, m: int, size: int):
-    lines = np.empty((m, size, 3))
-    planes = np.empty((m, size, 3))
-    for i in range(size):
-        lines[:, i], planes[:, i] = flags_mod.batch_random_flags(rng, m)
-    return lines, planes
-
-
-def _complex_lifts(re, im):
-    """Unit null lifts (w, 1)/sqrt(2) of the ball directions w = unit(re + i im)."""
-    w = re + 1j * im
-    w = w / np.linalg.norm(w, axis=2, keepdims=True)
-    return np.concatenate([w, np.ones(w.shape[:2] + (1,))], axis=2) / math.sqrt(2.0)
-
-
-def _draw_candidates(config: SamplerConfig, rng, m: int) -> tuple:
-    """The random-number calls for m candidate tuples, one call per array."""
+def _sampler(config: SamplerConfig):
+    """The `sampling` tuple sampler of config's model, tuple size and tolerance."""
     if config.model == "flags3":
-        return _batch_flags(rng, m, config.tuple_size)
-    shape = (m, config.tuple_size, 2 if config.model == "S1" else config.dim)
-    if config.model == "complex_hyperbolic":
-        return rng.standard_normal(shape), rng.standard_normal(shape)
-    return (rng.standard_normal(shape),)
-
-
-def _accept_rows(config: SamplerConfig, *rows):
-    """(points, mask) of a block of rows of the candidate arrays.
-
-    points are the rows' point arrays: (lines, planes) for flags3, else
-    the complex lifts or the unit directions alone; mask marks the generic
-    rows.
-    """
-    if config.model == "flags3":
-        return rows, flags_mod.batch_is_generic(*rows, config.tolerance)
-    if config.model == "complex_hyperbolic":
-        points, distance = _complex_lifts(*rows), complex_chordal_distance
-    else:
-        (v,) = rows
-        points, distance = v / np.linalg.norm(v, axis=2, keepdims=True), real_chordal_distance
-    return (points,), _mask_generic(points, config.tolerance, distance)
+        return FlagTupleSampler(config.tuple_size, config.tolerance)
+    model = ComplexTupleSampler if config.model == "complex_hyperbolic" else SphereTupleSampler
+    return model(2 if config.model == "S1" else config.dim, config.tuple_size, config.tolerance)
 
 
 def _accepted_batches(config: SamplerConfig):
-    """Draw candidate batches until `count` tuples are accepted.
-
-    Returns (data, draws, accepted).  data holds the accepted tuples in
-    draw order: a (count, size, k) array of points, or (lines, planes) for
-    flags3.  Each batch makes the same random-number calls as one array
-    draw; its row kernels then run over blocks of ROW_BLOCK rows, each
-    writing its accepted rows straight into data.  Raises SamplerExhausted
-    past sampling.DRAW_BUDGET * count draws.
+    """(batches, draws, accepted): the accepted (rows, coords) of each draw of
+    config's sampler, in draw order, until `count` tuples are accepted.
+    Raises SamplerExhausted past sampling.DRAW_BUDGET * count draws.
     """
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    data = []
-    filled = 0
-
-    def draw(m):
-        nonlocal filled
-        start = filled
-        candidates = _draw_candidates(config, rng, m)
-        for rows in _blocks(m):
-            points, keep = _accept_rows(config, *(a[rows] for a in candidates))
-            if not data:
-                data.extend(np.empty((config.count, *p.shape[1:]), p.dtype) for p in points)
-            hits = int(np.count_nonzero(keep))
-            for target, p in zip(data, points):
-                target[filled:filled + hits] = p[keep]
-            filled += hits
-        return filled - start
-
-    draws = rejection_loop(draw, config.count)
-    return (tuple(data) if config.model == "flags3" else data[0]), draws, config.count
+    batches, _, draws = draw_batches(_sampler(config), rng, config.count)
+    return batches, draws, config.count
 
 
 def _acceptance(draws: int, accepted: int) -> dict:
@@ -264,23 +199,14 @@ def _acceptance(draws: int, accepted: int) -> dict:
 
 
 def sampling_stats(config: SamplerConfig) -> dict:
-    """Acceptance statistics of the rejection sampler, without materializing."""
+    """Draw and acceptance statistics of config's rejection sampler."""
     return _acceptance(*_accepted_batches(config)[1:])
-
-
-def _point_objects(config: SamplerConfig, data):
-    """Tuples of point objects from the sampler's arrays."""
-    if config.model == "flags3":
-        lines, planes = data
-        return [tuple(Flag3(lines[i, j], planes[i, j]) for j in range(config.tuple_size))
-                for i in range(config.count)]
-    point = ComplexBoundaryPoint if config.model == "complex_hyperbolic" else RealBoundaryPoint
-    return [tuple(point(row) for row in tup) for tup in data]
 
 
 def sample_tuples(config: SamplerConfig):
     """Exactly `count` generic tuples of point objects, deterministic per seed."""
-    return _point_objects(config, _accepted_batches(config)[0])
+    points = _sampler(config).points
+    return [points(row) for rows, _ in _accepted_batches(config)[0] for row in rows]
 
 
 def sample_columns(config: SamplerConfig):
@@ -288,20 +214,21 @@ def sample_columns(config: SamplerConfig):
 
     One row per sampled point, tuple by tuple, holding a vector column of
     its coordinates: a flag's sign-normalized line and covector, a complex
-    point's normalized lift, or a real point's unit direction.
+    point's normalized lift, or a real point's unit direction, each equal
+    to its point object's bit for bit.
     """
-    data, draws, accepted = _accepted_batches(config)
+    batches, draws, accepted = _accepted_batches(config)
+    coords = batches[0][1] if len(batches) == 1 else np.concatenate([c for _, c in batches])
     count, size = config.count, config.tuple_size
     columns = {"tuple_index": np.repeat(np.arange(count), size),
                "point_index": np.tile(np.arange(size), count)}
     if config.model == "flags3":
         columns["line"], columns["plane"] = batch_normalize_flags(
-            *(a.reshape(-1, 3) for a in data))
+            *coords.swapaxes(0, 1).reshape(2, -1, 3))
     elif config.model == "complex_hyperbolic":
-        columns["lift"] = np.array([p.lift for t in _point_objects(config, data) for p in t])
+        columns["lift"] = canonical_lifts(coords.reshape(count * size, -1))
     else:
-        columns["coords"] = np.array([p.direction for t in _point_objects(config, data)
-                                      for p in t])
+        columns["coords"] = coords.reshape(count * size, -1)
     return ResultColumns(columns), _acceptance(draws, accepted)
 
 
@@ -322,14 +249,15 @@ def invariant_values(config: SamplerConfig, invariant_name: str) -> np.ndarray:
         raise UnknownInvariant(f"{invariant_name} is defined on {model} triples")
     if config.tuple_size != 3:
         raise ValueError(f"{invariant_name} needs triples")
-    data = _accepted_batches(config)[0]
+    coords = [c for _, c in _accepted_batches(config)[0]]
     if invariant_name == "orientation_class":
-        return np.sign(circle_orientation(*data.transpose(1, 2, 0)))
-    if invariant_name == "cartan":
-        return cartan_invariant_batch(data[:, 0], data[:, 1], data[:, 2])
-    # by blocks, whose component views stay in cache
-    return np.concatenate([flags_mod.batch_triple_ratio(*(a[rows] for a in data))
-                           for rows in _blocks(config.count)])
+        values = [np.sign(circle_orientation(*c.transpose(1, 2, 0))) for c in coords]
+    elif invariant_name == "cartan":
+        values = [cartan_invariant_batch(c[:, 0], c[:, 1], c[:, 2]) for c in coords]
+    else:  # by blocks, whose component views stay in cache
+        values = [flags_mod.batch_triple_ratio(c[rows, 0], c[rows, 1])
+                  for c in coords for rows in _blocks(len(c))]
+    return np.concatenate(values)
 
 
 def quantile_summary(values: np.ndarray) -> dict:
@@ -464,9 +392,9 @@ def _report_pieces(envelope: ReportEnvelope, format: str):
 def _check_column(column, format: str) -> None:
     """Refuse a column of cells that `format` cannot hold.
 
-    JSON takes scalars and vector columns only (TypeError) and no NaN or
-    infinity.  CSV, written with "\\n" line ends, leaves a carriage return
-    unquoted, where a reader takes it for a line end.
+    Both formats take JSON scalars and vector columns only (TypeError).
+    JSON takes no NaN or infinity.  CSV, written with "\\n" line ends,
+    leaves a carriage return unquoted, where a reader takes it for a line end.
     """
     if isinstance(column, range):
         return
@@ -477,14 +405,14 @@ def _check_column(column, format: str) -> None:
         return
     values = _plain(column)
     kinds = set(map(type, values))
+    if not all(issubclass(kind, (str, int, float, type(None))) for kind in kinds):
+        raise TypeError("result columns hold JSON scalars only")
     if format == "csv":
         if any(issubclass(kind, str) for kind in kinds):
             bad = next((v for v in values if isinstance(v, str) and "\r" in v), None)
             if bad is not None:
                 raise UnencodableReport(f"CSV cannot hold the carriage return in {bad!r}")
         return
-    if not all(issubclass(kind, (str, int, float, type(None))) for kind in kinds):
-        raise TypeError("result columns hold JSON scalars only")
     if any(issubclass(kind, float) for kind in kinds):
         bad = next((v for v in values if isinstance(v, float) and not math.isfinite(v)), None)
         if bad is not None:

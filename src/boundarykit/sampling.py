@@ -1,13 +1,14 @@
 """Seeded samplers for boundary tuples, model points and test cochains.
 
 A tuple sampler is a callable `sampler(rng) -> tuple | None`; None marks a
-rejected (non-generic) draw.  A batch sampler (SphereTupleSampler) adds
-`draw(rng, m)`, the accepted (rows, coords) of m candidates, and
-`points(row)`; `batch_sampler` gives any sampler that form, so
-`rejection_loop`, allowed DRAW_BUDGET draws per tuple, is the one loop:
-`draw_batches` runs it over `draw`, as the bulk sampler in `reports` does.
-`task_seed` splits a master seed into independent per-task seeds,
-counter-based, so tasks stay deterministic whatever order they run in.
+rejected (non-generic) draw.  The model samplers (TupleSampler: the real
+sphere, with or without its P^1 chart, the complex ball and flags in R^3)
+add `draw(rng, m)`, the accepted (rows, coords) of m candidates, and
+`points(row)`.  `rejection_loop`, allowed DRAW_BUDGET draws per tuple, is
+the one loop: `draw_batches` runs it over either kind of sampler, for
+`verify-cocycle` and the bulk verbs alike.  `task_seed` splits a master
+seed into independent per-task seeds, counter-based, so tasks stay
+deterministic whatever order they run in.
 """
 
 from __future__ import annotations
@@ -17,14 +18,18 @@ import math
 
 import numpy as np
 
+from . import flags as flags_mod
 from .cochains import Cochain
 from .errors import SamplerExhausted
+from .flags import Flag3
 from .hyperbolic import (ComplexBoundaryPoint, HyperbolicPoint,
                          RealBoundaryPoint, boundary_to_chart, chart_coords,
-                         lorentz_product, real_chordal_distance)
+                         complex_chordal_distance, lorentz_product,
+                         real_chordal_distance)
 from .projective import EPS_DIST
 
 DRAW_BUDGET = 100  # draws allowed per requested tuple before SamplerExhausted
+ROW_BLOCK = 4096  # rows per block of the model samplers, bulk kernels and report writer
 
 
 def task_seed(master: int, index: int) -> int:
@@ -52,36 +57,32 @@ def rejection_loop(draw, n: int) -> int:
     return draws
 
 
-def batch_sampler(sampler):
-    """(draw, points): a SphereTupleSampler's own, or for a plain `sampler(rng)`
-    a `draw(rng, m)` that makes m calls and returns the accepted tuples as its
-    rows, with coordinates None, and `tuple`.
-    """
-    if isinstance(sampler, SphereTupleSampler):
-        return sampler.draw, sampler.points
-
-    def draw(rng, m):
-        return [c for c in (sampler(rng) for _ in range(m)) if c is not None], None
-
-    return draw, tuple
-
-
 def draw_batches(sampler, rng, n: int):
-    """(batches, points): the accepted (rows, coords) of each `draw` for n tuples."""
-    draw, points = batch_sampler(sampler)
+    """(batches, points, draws): the accepted (rows, coords) of each draw for
+    n tuples, `points(row)` and the number of candidates drawn.
+
+    A TupleSampler draws with its own `draw` and `points`; a plain
+    `sampler(rng)` with m calls, its rows the accepted tuples, with
+    coordinates None, and `points` `tuple`.
+    """
+    if isinstance(sampler, TupleSampler):
+        draw, points = sampler.draw, sampler.points
+    else:
+        def draw(rng, m):
+            return [c for c in (sampler(rng) for _ in range(m)) if c is not None], None
+        points = tuple
     batches = []
 
     def take(m):
         batches.append(draw(rng, m))
         return len(batches[-1][0])
 
-    rejection_loop(take, n)
-    return batches, points
+    return batches, points, rejection_loop(take, n)
 
 
 def draw_tuples(sampler, rng, n: int) -> list:
     """Collect n accepted tuples; raise SamplerExhausted past the budget."""
-    batches, points = draw_batches(sampler, rng, n)
+    batches, points, _ = draw_batches(sampler, rng, n)
     return [points(row) for rows, _ in batches for row in rows]
 
 
@@ -108,35 +109,105 @@ def random_hyperbolic_point(rng, dim: int, spread: float = 1.0) -> HyperbolicPoi
     return HyperbolicPoint(np.append(v, math.sqrt(1.0 + v @ v)))
 
 
-class SphereTupleSampler:
-    """Tuples of `size` pairwise-distinct points on the boundary sphere of H^dim.
+def _blocks(n: int):
+    """Slices of at most ROW_BLOCK consecutive rows, covering range(n) in order."""
+    return (slice(start, min(start + ROW_BLOCK, n)) for start in range(0, n, ROW_BLOCK))
 
-    `sampler(rng)` draws one tuple of RealBoundaryPoint, or with `chart` of
-    their P^1(C) chart images, or None for a non-generic draw.  `draw(rng, m)`
-    draws m candidates with the same random numbers as m such calls and
-    returns the accepted ones' Gaussian draws, (m', size, dim), and their
-    points' `direction`s or `coords`, the input of Cochain.batch; `points`
-    rebuilds one tuple's point objects from its draws.
+
+class TupleSampler:
+    """Generic tuples of `size` points of one model in dimension `dim`.
+
+    `sampler(rng)` draws one tuple of point objects, or None for a
+    non-generic draw.  `draw(rng, m)` makes the random-number calls of m
+    candidates, then block by block of ROW_BLOCK rows takes their
+    coordinates and genericity mask from the model's `_coords(draws)`
+    (coordinates None: the draws themselves).  It returns the accepted
+    candidates' draws, moved forward in place, and their coordinates, the
+    input of Cochain.batch and of the bulk kernels; `points(row)` rebuilds
+    one tuple's point objects from its draws.
     """
 
-    def __init__(self, dim: int, size: int, tol: float = EPS_DIST, chart: bool = False):
-        self.dim, self.size, self.tol, self.chart = dim, size, tol, chart
+    def __init__(self, dim: int, size: int, tol: float = EPS_DIST):
+        self.dim, self.size, self.tol = dim, size, tol
 
     def __call__(self, rng):
-        normals = self.draw(rng, 1)[0]
-        return self.points(normals[0]) if len(normals) else None
+        rows = self.draw(rng, 1)[0]
+        return self.points(rows[0]) if len(rows) else None
+
+    def draw(self, rng, m: int):
+        rows = self._draws(rng, m)
+        coords, n = None, 0
+        for block in _blocks(m):
+            c, keep = self._coords(rows[block])
+            hits = int(np.count_nonzero(keep))
+            if c is not None:
+                if coords is None:
+                    coords = np.empty((m, *c.shape[1:]), c.dtype)
+                coords[n:n + hits] = c[keep]
+            if hits < len(keep) or n < block.start:  # else the block is in place
+                rows[n:n + hits] = rows[block][keep]
+            n += hits
+        rows = rows[:n]
+        return rows, rows if coords is None else coords[:n]
+
+
+class SphereTupleSampler(TupleSampler):
+    """Points of the boundary sphere of H^dim, or with `chart` their P^1 chart
+    images: the draws are Gaussian, (m, size, dim), the same random numbers
+    as m calls `sampler(rng)`, and the coordinates the points' `direction`s
+    or `coords`."""
+
+    def __init__(self, dim: int, size: int, tol: float = EPS_DIST, chart: bool = False):
+        super().__init__(dim, size, tol)
+        self.chart = chart
 
     def points(self, normals) -> tuple:
         points = tuple(RealBoundaryPoint(v / np.linalg.norm(v)) for v in normals)
         return tuple(map(boundary_to_chart, points)) if self.chart else points
 
-    def draw(self, rng, m: int):
-        normals = rng.standard_normal((m, self.size, self.dim))
+    def _draws(self, rng, m):
+        return rng.standard_normal((m, self.size, self.dim))
+
+    def _coords(self, normals):
         # normalized twice, as unit_vector and then RealBoundaryPoint do
         u = normals / np.sqrt(np.vecdot(normals, normals))[..., None]
         u = u / np.sqrt(np.vecdot(u, u))[..., None]
         keep = _mask_generic(u, self.tol, real_chordal_distance)
-        return normals[keep], chart_coords(u[keep]) if self.chart else u[keep]
+        return chart_coords(u) if self.chart else u, keep
+
+
+class ComplexTupleSampler(TupleSampler):
+    """Points of the boundary of H^dim_C, uniform on the sphere of the ball
+    chart: the draws are the Gaussian real and imaginary parts, (m, 2, size,
+    dim), and the coordinates the unit null lifts (w, 1)/sqrt(2)."""
+
+    def points(self, row) -> tuple:
+        return tuple(map(ComplexBoundaryPoint, _complex_lifts(*row[:, None])[0]))
+
+    def _draws(self, rng, m):
+        return np.moveaxis(rng.standard_normal((2, m, self.size, self.dim)), 0, 1)
+
+    def _coords(self, draws):
+        lifts = _complex_lifts(draws[:, 0], draws[:, 1])
+        return lifts, _mask_generic(lifts, self.tol, complex_chordal_distance)
+
+
+class FlagTupleSampler(TupleSampler):
+    """Haar-random full flags in R^3: the draws, (m, 2, size, 3), are each
+    tuple's unit lines and then its planes' unit covectors, and are the
+    coordinates too."""
+
+    def __init__(self, size: int, tol: float = EPS_DIST):
+        super().__init__(3, size, tol)
+
+    def points(self, row) -> tuple:
+        return tuple(map(Flag3, *row))
+
+    def _draws(self, rng, m):
+        return _batch_flags(rng, m, self.size)
+
+    def _coords(self, flags):
+        return None, flags_mod.batch_is_generic(flags[:, 0], flags[:, 1], self.tol)
 
 
 def _mask_generic(batch, tol, distance):
@@ -145,6 +216,22 @@ def _mask_generic(batch, tol, distance):
     for i, j in itertools.combinations(range(batch.shape[1]), 2):
         m &= distance(batch[:, i], batch[:, j]) > tol
     return m
+
+
+def _complex_lifts(re, im):
+    """Unit null lifts (w, 1)/sqrt(2) of the ball directions w = unit(re + i im)."""
+    w = re + 1j * im
+    w = w / np.linalg.norm(w, axis=2, keepdims=True)
+    return np.concatenate([w, np.ones(w.shape[:2] + (1,))], axis=2) / math.sqrt(2.0)
+
+
+def _batch_flags(rng, m: int, size: int):
+    """(m, 2, size, 3) lines and covectors of m tuples of Haar-random flags,
+    a view of a (2, m, size, 3) array: all lines are one contiguous array."""
+    flags = np.empty((2, m, size, 3))
+    for i in range(size):
+        flags[0, :, i], flags[1, :, i] = flags_mod.batch_random_flags(rng, m)
+    return np.moveaxis(flags, 0, 1)
 
 
 def circle_tuple_sampler(size: int, tol: float = EPS_DIST) -> SphereTupleSampler:

@@ -266,6 +266,16 @@ def test_certify_bound_takes_no_count():
     assert exc.value.code == 2
 
 
+def test_certify_bound_takes_no_tol(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["certify-bound", "--tol", "1e-3"])
+    assert exc.value.code == 2
+    code, out = run_to_file(tmp_path, "c.json", ["certify-bound", "--function", "const",
+                                                 "--grid", "100"] + COMMON)
+    assert code == 0
+    assert sorted(json.loads(out.read_text())["config"]) == ["delta", "field", "function", "grid"]
+
+
 def test_a_closed_stdout_pipe_ends_without_a_traceback():
     # the report (about 0.5 MB) outgrows the pipe buffer, so the CLI is still
     # writing when the reader closes its end, as `| head -1` does

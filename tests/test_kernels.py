@@ -11,13 +11,13 @@ import pytest
 
 from boundarykit import (ComplexBoundaryPoint, DegenerateTuple, RealBoundaryPoint,
                          SamplerConfig, boundary_to_chart, cartan_invariant,
-                         invariant_values, is_generic_tuple, reports,
-                         sample_tuples, vol2, vol3)
-from boundarykit.hyperbolic import (cartan_invariant_batch,
+                         invariant_values, is_generic_tuple, sample_tuples,
+                         sampling, vol2, vol3)
+from boundarykit.hyperbolic import (canonical_lifts, cartan_invariant_batch,
                                     complex_chordal_distance,
                                     real_chordal_distance)
 from boundarykit.projective import _require_distinct
-from boundarykit.sampling import random_complex_boundary_point
+from boundarykit.sampling import ComplexTupleSampler, random_complex_boundary_point
 
 
 def circle_point(angle):
@@ -46,7 +46,7 @@ def test_every_check_rejects_a_pair_at_exactly_tol(gap):
     batch = np.array([[p.direction, q.direction, r.direction]])
     for tol, distinct in ((d, False), (below(d), True)):
         assert is_generic_tuple([p, q, r], tol) is distinct
-        mask = reports._mask_generic(batch, tol, real_chordal_distance)
+        mask = sampling._mask_generic(batch, tol, real_chordal_distance)
         assert mask.tolist() == [distinct]
         for check in (lambda: vol2(p, q, r, tol=tol),
                       lambda: _require_distinct([p, q], tol)):
@@ -92,17 +92,17 @@ def test_a_complex_pair_at_exactly_tol_is_rejected():
         batch = np.array([[p.lift, q.lift]])
         for tol, distinct in ((d, False), (below(d), True)):
             assert is_generic_tuple([p, q], tol) is distinct
-            assert reports._mask_generic(batch, tol, complex_chordal_distance).tolist() == [
+            assert sampling._mask_generic(batch, tol, complex_chordal_distance).tolist() == [
                 distinct]
 
 
 def test_complex_batch_mask_agrees_with_is_generic_tuple():
     tol = 0.5
     rng = np.random.default_rng(8)
-    batch = reports._complex_lifts(rng.standard_normal((400, 3, 2)),
-                                   rng.standard_normal((400, 3, 2)))
+    batch = sampling._complex_lifts(rng.standard_normal((400, 3, 2)),
+                                    rng.standard_normal((400, 3, 2)))
     points = [tuple(ComplexBoundaryPoint(lift) for lift in row) for row in batch]
-    mask = reports._mask_generic(batch, tol, complex_chordal_distance)
+    mask = sampling._mask_generic(batch, tol, complex_chordal_distance)
     assert mask.tolist() == [is_generic_tuple(t, tol) for t in points]
     assert 0 < mask.sum() < len(mask)
 
@@ -114,6 +114,29 @@ def test_cartan_invariant_equals_the_batch_kernel_exactly():
     lifts = [np.stack([t[k].lift for t in triples]) for k in range(3)]
     assert cartan_invariant_batch(*lifts).tolist() == [
         cartan_invariant(*t) for t in triples]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_canonical_lifts_are_the_point_lifts_bit_for_bit(n):
+    rng = np.random.default_rng(70 + n)
+    w = rng.standard_normal((3000, n)) + 1j * rng.standard_normal((3000, n))
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    # one unit coordinate ties with the last one, and comes first
+    w[:300] = np.eye(n)[rng.integers(0, n, 300)] * np.exp(1j * rng.uniform(0, 6.3, (300, 1)))
+    scale = rng.uniform(0.1, 10.0, (3000, 1)) * np.exp(1j * rng.uniform(0, 6.3, (3000, 1)))
+    z = np.concatenate([w, np.ones((3000, 1))], axis=1) * scale
+    expected = np.array([ComplexBoundaryPoint(row).lift for row in z])
+    assert canonical_lifts(z).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_cartan_invariant_is_a_cocycle_on_sampled_tuples(n):
+    # sum of (-1)^i A(x0..^xi..x3): 0 for the Cartan cocycle (Goldman 1999, 7.1)
+    lifts = ComplexTupleSampler(n, 4).draw(np.random.default_rng(60 + n), 20_000)[1]
+    assert len(lifts) == 20_000
+    faces = [cartan_invariant_batch(*(lifts[:, j] for j in range(4) if j != i))
+             for i in range(4)]
+    assert np.abs(faces[0] - faces[1] + faces[2] - faces[3]).max() <= 4e-15
 
 
 def test_orientation_class_equals_vol2_over_pi():
@@ -155,7 +178,7 @@ def random_lifts(rng, count, n, near=None, scale=0.0):
     re, im = rng.standard_normal((2, count, 1, n))
     if near is not None:
         re, im = near[0] + scale * re, near[1] + scale * im
-    return reports._complex_lifts(re, im)[:, 0], (re, im)
+    return sampling._complex_lifts(re, im)[:, 0], (re, im)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

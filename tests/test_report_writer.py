@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from boundarykit import ResultColumns, UnencodableReport, emit_report, read_report_csv
-from boundarykit.reports import ROW_BLOCK, ReportEnvelope, _write_report
+from boundarykit.reports import ReportEnvelope, _write_report
+from boundarykit.sampling import ROW_BLOCK
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies

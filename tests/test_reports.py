@@ -273,6 +273,13 @@ def test_json_refuses_rows_with_differing_keys_or_nested_cells(tmp_path):
     assert_refused_before_writing(nested, "json", tmp_path, TypeError, "JSON scalars only")
 
 
+@pytest.mark.parametrize("format", ["json", "csv"])
+def test_both_formats_refuse_list_and_dict_cells(tmp_path, format):
+    nested = ReportEnvelope(command="x", seed=2, config={}, summary={},
+                            results=[{"a": 1, "b": [1, 2]}, {"a": 2, "b": {"c": None}}])
+    assert_refused_before_writing(nested, format, tmp_path, TypeError, "JSON scalars only")
+
+
 def test_numpy_scalars_in_list_columns_are_written_as_python_numbers():
     env = ReportEnvelope(command="x", seed=0, config={}, summary={},
                          results=ResultColumns({"a": [np.float64(0.5), 2]}))
@@ -326,6 +333,39 @@ def test_batch_sample_cells_equal_the_flag3_path(seed, size):
     flags = [flag for tup in sample_tuples(config) for flag in tup]
     assert [row["line"] for row in results] == [";".join(map(repr, f.line.tolist())) for f in flags]
     assert [row["plane"] for row in results] == [";".join(map(repr, f.plane.tolist())) for f in flags]
+
+
+@pytest.mark.parametrize("model, dim", [("S1", 2), ("Sn", 3), ("Sn", 4),
+                                        ("complex_hyperbolic", 2), ("complex_hyperbolic", 3)])
+def test_sample_cells_are_the_point_objects_bit_for_bit(model, dim):
+    config = SamplerConfig(model=model, count=3000, seed=dim, dim=dim)
+    columns = sample_columns(config)[0].columns
+    if model == "complex_hyperbolic":
+        column, points = columns["lift"], [p.lift for t in sample_tuples(config) for p in t]
+    else:
+        column, points = columns["coords"], [p.direction for t in sample_tuples(config) for p in t]
+    assert column.tobytes() == np.array(points).tobytes()
+
+
+# draws of 2,000-tuple samples, as recorded before the bulk sampler moved into
+# `sampling`; each tolerance forces rejections, so a change to the random
+# stream or to the accepted set shows here
+MODEL_DRAWS = [
+    ("S1", 2, 3, 0.5, 1, 3448), ("S1", 2, 3, 0.5, 2, 3539),
+    ("Sn", 3, 3, 0.5, 1, 2442), ("Sn", 3, 3, 0.5, 2, 2409),
+    ("Sn", 4, 2, 0.9, 1, 2319), ("Sn", 4, 2, 0.9, 2, 2363),
+    ("complex_hyperbolic", 2, 3, 0.5, 1, 2906), ("complex_hyperbolic", 2, 3, 0.5, 2, 2859),
+    ("complex_hyperbolic", 3, 3, 0.5, 1, 2271), ("complex_hyperbolic", 3, 3, 0.5, 2, 2276),
+    ("flags3", 2, 3, 0.2, 1, 12018), ("flags3", 2, 2, 0.2, 2, 3006),
+]
+
+
+@pytest.mark.parametrize("model, dim, size, tol, seed, draws", MODEL_DRAWS)
+def test_every_model_draws_as_before(model, dim, size, tol, seed, draws):
+    config = SamplerConfig(model=model, tuple_size=size, count=2000, seed=seed, dim=dim,
+                           tolerance=tol)
+    stats = sampling_stats(config)
+    assert (stats["draws"], stats["accepted"]) == (draws, 2000)
 
 
 def test_a_non_finite_invariant_is_refused_at_its_index():

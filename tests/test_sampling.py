@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from boundarykit import (Cochain, SamplerConfig, SamplerExhausted,
-                         empirical_sup_defect, reports, sampling_stats)
-from boundarykit.sampling import draw_tuples, rejection_loop, task_seed
+                         empirical_sup_defect, sampling, sampling_stats)
+from boundarykit.sampling import (ROW_BLOCK, ComplexTupleSampler, FlagTupleSampler,
+                                  SphereTupleSampler, draw_tuples, rejection_loop, task_seed)
 
 N = 7
 
@@ -62,7 +63,7 @@ def test_sampling_stats_stops_at_the_nth_acceptance(monkeypatch):
         seen += batch.shape[0]
         return index % 2 == 0
 
-    monkeypatch.setattr(reports, "_mask_generic", mask)
+    monkeypatch.setattr(sampling, "_mask_generic", mask)
     stats = sampling_stats(SamplerConfig(model="S1", count=N, seed=3))
     assert stats["draws"] == 2 * N - 1
     assert stats["accepted"] == N
@@ -83,11 +84,25 @@ def test_all_three_exhaust_alike_at_the_budget(monkeypatch):
         empirical_sup_defect(Cochain(arity=1, evaluator=lambda x: x),
                              rejecting, N, seed=3)
     assert len(calls) == 200 * N
-    monkeypatch.setattr(reports, "_mask_generic",
+    monkeypatch.setattr(sampling, "_mask_generic",
                         lambda batch, tol, distance: np.zeros(batch.shape[0], dtype=bool))
     with pytest.raises(SamplerExhausted) as batch:
         sampling_stats(SamplerConfig(model="S1", count=N, seed=3))
     assert {str(e.value) for e in (per_tuple, defect, batch)} == {expected}
+
+
+@pytest.mark.parametrize("sampler", [
+    SphereTupleSampler(2, 3, 0.5), SphereTupleSampler(3, 4, 0.3, chart=True),
+    ComplexTupleSampler(2, 3, 0.5), FlagTupleSampler(3, 0.2)],
+    ids=["sphere", "chart", "complex", "flags"])
+def test_draw_keeps_the_accepted_rows_of_every_block_in_order(sampler):
+    m = 2 * ROW_BLOCK + 5
+    rows, coords = sampler.draw(np.random.default_rng(4), m)
+    draws = sampler._draws(np.random.default_rng(4), m)  # the same candidates, whole
+    all_coords, keep = sampler._coords(draws)
+    assert 0 < len(rows) < m
+    assert np.array_equal(rows, draws[keep])
+    assert np.array_equal(coords, draws[keep] if all_coords is None else all_coords[keep])
 
 
 def test_task_seeds_are_pinned():

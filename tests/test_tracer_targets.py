@@ -8,7 +8,7 @@ import pathlib
 import numpy as np
 
 import boundarykit.cli  # noqa: F401  (loads every module the tracer patches)
-from boundarykit import flags, reports
+from boundarykit import flags, reports, sampling
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -28,7 +28,7 @@ def test_tracer_finds_every_target_and_restores_them():
         assert tracer.missing == []
         assert flags.batch_random_flags is not original
         # the sampler reaches the flag sampler through the module attribute
-        reports._batch_flags(np.random.default_rng(0), 5, 3)
+        sampling._batch_flags(np.random.default_rng(0), 5, 3)
     finally:
         tracer.uninstall()
     assert flags.batch_random_flags is original
