@@ -6,14 +6,13 @@ flags is opposite when line and plane are mutually transverse, and a triple
 is generic when each flag is opposite to all six coordinate flags of the
 flat spanned by the other two.
 
-Scalar operations work on Flag3 objects; `batch_*` functions operate on
-stacked coordinate arrays and exist because the configuration-space probes
-evaluate 10^5 triples.
+Each quantity has one array kernel, as the configuration-space probes
+evaluate 10^5 triples: `Flag3` is a one-row call of `batch_normalize_flags`,
+and the pairings and triple ratio of Flag3 objects apply the component
+kernels `_dot` and `_triple_ratio` to the flags' own vectors.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -22,40 +21,28 @@ from .errors import NotGeneric, NotOpposite
 PAIRING_TOL = 1e-9  # transversality tolerance on unit-normalized pairings
 
 
-def _sign_normalize(v):
-    """Unit vector with the largest-modulus component made positive."""
-    v = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(v))
-    if not (norm > 0.0) or not math.isfinite(norm):
-        raise ValueError("vector must be finite and nonzero")
-    v = v / norm
-    lead = int(np.argmax(np.abs(v)))
-    if v[lead] < 0:
-        v = -v
-    v.flags.writeable = False
-    return v
-
-
 def _sign_normalize_rows(v):
-    """_sign_normalize of each row of `v`, bit for bit."""
-    # sqrt(vecdot) is the 1-D np.linalg.norm bit for bit; einsum is not
+    """Unit rows of `v`, each with its first largest-modulus component made positive."""
+    # sqrt(vecdot), not einsum, whose sums round differently: it keeps the bits
+    # of the flags3 sample reports
     norm = np.sqrt(np.vecdot(v, v))
-    if not np.all(np.isfinite(norm) & (norm > 0.0)):
+    if not (np.isfinite(norm) & (norm > 0.0)).all():
         raise ValueError("vector must be finite and nonzero")
     v = v / norm[:, None]
-    lead = np.take_along_axis(v, np.argmax(np.abs(v), axis=1)[:, None], axis=1)
-    return np.where(lead < 0, -v, v)
+    lead = v[np.arange(len(v)), np.argmax(np.abs(v), axis=1)]
+    return np.where(lead[:, None] < 0, -v, v)
 
 
 def batch_normalize_flags(lines, planes):
-    """(line, plane) of Flag3(lines[i], planes[i]) for each row i, bit for bit.
+    """(line, plane) of Flag3(lines[i], planes[i]) for each row i.
 
     `lines` and `planes` are float arrays of shape (n, 3).  Raises
-    ValueError, as Flag3 does, where a covector is parallel to its line.
+    ValueError where a covector is parallel to its line.
     """
     e = _sign_normalize_rows(lines)
-    phi = planes - np.vecdot(planes, e)[:, None] * e  # vecdot is `@` bit for bit
-    if np.any(np.sqrt(np.vecdot(phi, phi)) < 1e-9):
+    # project out any numerical drift off the incidence condition
+    phi = planes - np.vecdot(planes, e)[:, None] * e
+    if (np.sqrt(np.vecdot(phi, phi)) < 1e-9).any():
         raise ValueError("plane covector is parallel to the line")
     return e, _sign_normalize_rows(phi)
 
@@ -67,13 +54,9 @@ class Flag3:
     __slots__ = ("line", "plane")
 
     def __init__(self, line, plane):
-        e = _sign_normalize(line)
-        phi = np.asarray(plane, dtype=np.float64)
-        # project out any numerical drift off the incidence condition
-        phi = phi - (phi @ e) * e
-        if np.linalg.norm(phi) < 1e-9:
-            raise ValueError("plane covector is parallel to the line")
-        phi = _sign_normalize(phi)
+        (e,), (phi,) = batch_normalize_flags(np.asarray(line, dtype=np.float64)[None],
+                                             np.asarray(plane, dtype=np.float64)[None])
+        e.flags.writeable = phi.flags.writeable = False
         object.__setattr__(self, "line", e)
         object.__setattr__(self, "plane", phi)
 
@@ -86,8 +69,8 @@ class Flag3:
         return cls(u, np.cross(u, v))
 
     def pairing(self, other: "Flag3") -> float:
-        """phi_self(e_other), the transversality pairing."""
-        return float(self.plane @ other.line)
+        """phi_self(e_other), the transversality pairing, as the masks take it."""
+        return float(_dot(self.plane, other.line))
 
     def apply(self, g) -> "Flag3":
         """Image under g in GL(3,R): line by g, covector by inverse transpose."""
@@ -140,7 +123,7 @@ def flat_boundary(f1: Flag3, f2: Flag3, tol: float = PAIRING_TOL) -> FlatBoundar
         raise NotOpposite("flat boundaries are only defined for opposite flags")
     u1 = f1.line
     u3 = f2.line
-    u2 = _sign_normalize(np.cross(f1.plane, f2.plane))
+    u2 = _sign_normalize_rows(np.cross(f1.plane, f2.plane)[None])[0]
     basis = (u1, u2, u3)
     flags = tuple(Flag3.from_basis(basis[a], basis[b])
                   for a in range(3) for b in range(3) if a != b)
@@ -167,15 +150,14 @@ def triple_ratio(f1: Flag3, f2: Flag3, f3: Flag3,
 
     T = phi1(e2) phi2(e3) phi3(e1) / (phi1(e3) phi2(e1) phi3(e2)); invariant
     under SL(3,R), cyclic-invariant, inverted by transpositions, and
-    independent of the sign normalization of the representatives.
+    independent of the sign normalization of the representatives.  Raises
+    NotGeneric where a pairing of the denominator is at most tol.
     """
-    num = f1.pairing(f2) * f2.pairing(f3) * f3.pairing(f1)
-    den = f1.pairing(f3) * f2.pairing(f1) * f3.pairing(f2)
     for name, value in (("phi1(e3)", f1.pairing(f3)), ("phi2(e1)", f2.pairing(f1)),
                         ("phi3(e2)", f3.pairing(f2))):
         if abs(value) <= tol:
             raise NotGeneric(f"pairing {name} = {value:.3e} below tolerance")
-    return num / den
+    return float(_triple_ratio((f1.line, f2.line, f3.line), (f1.plane, f2.plane, f3.plane)))
 
 
 def random_flag(rng) -> Flag3:
@@ -257,9 +239,13 @@ def batch_is_generic(lines, planes, tol: float = PAIRING_TOL) -> np.ndarray:
     return ok
 
 
-def batch_triple_ratio(lines, planes) -> np.ndarray:
-    """Vectorized triple ratio for stacked triples (no genericity check)."""
-    e, phi = lines.transpose(1, 2, 0), planes.transpose(1, 2, 0)
+def _triple_ratio(e, phi):
+    """Triple ratio of the flags (e[k], phi[k]), k < 3, given as their components."""
     num = _dot(phi[0], e[1]) * _dot(phi[1], e[2]) * _dot(phi[2], e[0])
     den = _dot(phi[0], e[2]) * _dot(phi[1], e[0]) * _dot(phi[2], e[1])
     return num / den
+
+
+def batch_triple_ratio(lines, planes) -> np.ndarray:
+    """Vectorized triple ratio for stacked triples (no genericity check)."""
+    return _triple_ratio(lines.transpose(1, 2, 0), planes.transpose(1, 2, 0))

@@ -20,9 +20,9 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateTuple, MixedModels, SignatureError
-from .projective import (EPS_DIST, ProjectivePoint, _normalize_pair, coincident_pair,
-                         cross_ratio)
+from .errors import MixedModels, SignatureError
+from .projective import (EPS_DIST, ProjectivePoint, _normalize_pair, _require_distinct,
+                         coincident_pair, cross_ratio)
 
 RANK_TOL = 1e-10  # relative singular-value threshold for subspace detection
 
@@ -69,8 +69,8 @@ class RealBoundaryPoint:
 class ComplexBoundaryPoint:
     """An ideal point of the boundary of complex hyperbolic space H^n_C.
 
-    Stored as a null lift in C^{n+1}, unit Euclidean norm, with the phase of
-    the largest-modulus coordinate made positive real.
+    Stored as its row of `canonical_lifts`, a null lift in C^{n+1} of unit
+    norm whose largest-modulus coordinate is positive real.
     """
 
     __slots__ = ("lift",)
@@ -79,16 +79,11 @@ class ComplexBoundaryPoint:
         z = np.asarray(lift, dtype=np.complex128)
         if z.ndim != 1 or z.shape[0] < 3:
             raise ValueError("lift must be a vector in C^{n+1}, n >= 2")
-        norm = float(np.linalg.norm(z))
-        if not (norm > 0.0) or not math.isfinite(norm):
-            raise ValueError("lift must be finite and nonzero")
-        z = z / norm
+        z = canonical_lifts(z[None])[0]
         if abs(hermitian_product(z, z)) > 1e-10:
             raise ValueError("lift is not null for the form diag(1,...,1,-1)")
         if abs(z[-1]) < 1e-12:
             raise ValueError("null line meets the hyperplane at infinity")
-        lead = int(np.argmax(np.abs(z)))
-        z = z * (abs(z[lead]) / z[lead])
         z.flags.writeable = False
         object.__setattr__(self, "lift", z)
 
@@ -97,9 +92,8 @@ class ComplexBoundaryPoint:
 
     @classmethod
     def from_ball_direction(cls, w) -> "ComplexBoundaryPoint":
-        """Boundary point of the unit-ball chart: w in C^n with |w| = 1."""
-        w = np.asarray(w, dtype=np.complex128)
-        return cls(np.append(w / np.linalg.norm(w), 1.0))
+        """Boundary point of the unit-ball chart in the direction of w in C^n."""
+        return cls(ball_lifts(np.asarray(w, dtype=np.complex128)))
 
     @property
     def dim(self) -> int:
@@ -114,14 +108,24 @@ class ComplexBoundaryPoint:
 
 
 def canonical_lifts(z) -> np.ndarray:
-    """ComplexBoundaryPoint(row).lift of each row of the (m, n + 1) lifts z, bit
-    for bit: unit norm, and the first coordinate of largest modulus p made
-    positive real by the factor |p| / p."""
-    z = z / np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))[:, None]
-    # the point takes np.abs of its array, then abs() of one coordinate, which
-    # is np.hypot; np.abs of a complex array is not always np.hypot
-    p = np.take_along_axis(z, np.argmax(np.abs(z), axis=1)[:, None], axis=1)
-    return z * (np.hypot(p.real, p.imag) / p)
+    """ComplexBoundaryPoint(row).lift of each row of the (m, n + 1) lifts z: unit
+    norm, and the first coordinate p of largest modulus made positive real by
+    the factor |p| / p.  Raises ValueError on a row that is not finite and nonzero."""
+    norm = np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))
+    if not (np.isfinite(norm) & (norm > 0.0)).all():
+        raise ValueError("lift must be finite and nonzero")
+    z = z / norm[:, None]
+    # one modulus for the pivot and the factor: np.hypot, as _normalize_pair
+    # takes it; np.abs of a complex array is not always np.hypot
+    modulus = np.hypot(z.real, z.imag)
+    lead = np.arange(len(z)), np.argmax(modulus, axis=1)
+    return z * (modulus[lead] / z[lead])[:, None]
+
+
+def ball_lifts(w) -> np.ndarray:
+    """Unit null lifts (w/|w|, 1)/sqrt(2) of ball-chart directions w, over the last axis."""
+    w = w / np.linalg.norm(w, axis=-1, keepdims=True)
+    return np.concatenate([w, np.ones(w.shape[:-1] + (1,))], axis=-1) / math.sqrt(2.0)
 
 
 class HyperbolicPoint:
@@ -226,9 +230,8 @@ def is_generic_tuple(points, tol: float = EPS_DIST) -> bool:
 
 
 def _require_generic(points, tol=EPS_DIST):
-    if not is_generic_tuple(points, tol):
-        raise DegenerateTuple("tuple is not generic at tolerance "
-                              f"{tol:g}")
+    if not is_generic_tuple(points, tol):  # the model check
+        _require_distinct(points, tol)  # names the first close pair
 
 
 # ---------------------------------------------------------------------------

@@ -123,13 +123,23 @@ def _require_distinct(points, tol=EPS_DIST):
             f"points {pair[0]} and {pair[1]} coincide within tolerance {tol:g}")
 
 
-def _require_distinct_rows(batch, distance, tol=EPS_DIST):
-    """_require_distinct for each tuple of an (m, size, k) batch, by row distances."""
+def _distinct_rows(batch, tol, distance):
+    """Mask of the tuples of an (m, size, k) batch whose points are pairwise > tol apart."""
+    ok = np.ones(batch.shape[0], dtype=bool)
     for i, j in itertools.combinations(range(batch.shape[1]), 2):
-        close = distance(batch[:, i], batch[:, j]) <= tol
-        if close.any():
-            raise DegenerateTuple(f"points {i} and {j} of tuple {int(np.argmax(close))} "
-                                  f"coincide within tolerance {tol:g}")
+        ok &= distance(batch[:, i], batch[:, j]) > tol
+    return ok
+
+
+def _require_distinct_rows(batch, tol, distance):
+    """_require_distinct for each tuple of an (m, size, k) batch: the refusal
+    names the first failing tuple and its first close pair."""
+    ok = _distinct_rows(batch, tol, distance)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        i, j = next(pair for pair in itertools.combinations(range(batch.shape[1]), 2)
+                    if not _distinct_rows(batch[k:k + 1, pair], tol, distance)[0])
+        raise DegenerateTuple(f"points {i} and {j} of tuple {k} coincide within tolerance {tol:g}")
 
 
 def _det(p, q):

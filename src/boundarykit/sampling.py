@@ -13,7 +13,6 @@ deterministic whatever order they run in.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -23,10 +22,10 @@ from .cochains import Cochain
 from .errors import SamplerExhausted
 from .flags import Flag3
 from .hyperbolic import (ComplexBoundaryPoint, HyperbolicPoint,
-                         RealBoundaryPoint, boundary_to_chart, chart_coords,
+                         RealBoundaryPoint, ball_lifts, boundary_to_chart, chart_coords,
                          complex_chordal_distance, lorentz_product,
                          real_chordal_distance)
-from .projective import EPS_DIST
+from .projective import EPS_DIST, _distinct_rows as _mask_generic  # the name tests patch
 
 DRAW_BUDGET = 100  # draws allowed per requested tuple before SamplerExhausted
 ROW_BLOCK = 4096  # rows per block of the model samplers, bulk kernels and report writer
@@ -100,8 +99,9 @@ def random_boundary_point(rng, dim: int) -> RealBoundaryPoint:
 
 
 def random_complex_boundary_point(rng, n: int) -> ComplexBoundaryPoint:
-    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return ComplexBoundaryPoint.from_ball_direction(w / np.linalg.norm(w))
+    """One point of ComplexTupleSampler(n, 1): the same random numbers and lift."""
+    return ComplexBoundaryPoint.from_ball_direction(rng.standard_normal(n)
+                                                    + 1j * rng.standard_normal(n))
 
 
 def random_hyperbolic_point(rng, dim: int, spread: float = 1.0) -> HyperbolicPoint:
@@ -182,13 +182,13 @@ class ComplexTupleSampler(TupleSampler):
     dim), and the coordinates the unit null lifts (w, 1)/sqrt(2)."""
 
     def points(self, row) -> tuple:
-        return tuple(map(ComplexBoundaryPoint, _complex_lifts(*row[:, None])[0]))
+        return tuple(map(ComplexBoundaryPoint, ball_lifts(row[0] + 1j * row[1])))
 
     def _draws(self, rng, m):
         return np.moveaxis(rng.standard_normal((2, m, self.size, self.dim)), 0, 1)
 
     def _coords(self, draws):
-        lifts = _complex_lifts(draws[:, 0], draws[:, 1])
+        lifts = ball_lifts(draws[:, 0] + 1j * draws[:, 1])
         return lifts, _mask_generic(lifts, self.tol, complex_chordal_distance)
 
 
@@ -208,21 +208,6 @@ class FlagTupleSampler(TupleSampler):
 
     def _coords(self, flags):
         return None, flags_mod.batch_is_generic(flags[:, 0], flags[:, 1], self.tol)
-
-
-def _mask_generic(batch, tol, distance):
-    """Rows of (m, size, k) `batch` whose points are pairwise > tol apart."""
-    m = np.ones(batch.shape[0], dtype=bool)
-    for i, j in itertools.combinations(range(batch.shape[1]), 2):
-        m &= distance(batch[:, i], batch[:, j]) > tol
-    return m
-
-
-def _complex_lifts(re, im):
-    """Unit null lifts (w, 1)/sqrt(2) of the ball directions w = unit(re + i im)."""
-    w = re + 1j * im
-    w = w / np.linalg.norm(w, axis=2, keepdims=True)
-    return np.concatenate([w, np.ones(w.shape[:2] + (1,))], axis=2) / math.sqrt(2.0)
 
 
 def _batch_flags(rng, m: int, size: int):

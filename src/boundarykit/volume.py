@@ -90,7 +90,7 @@ def vol2_batch(points: np.ndarray, tol: float = EPS_DIST) -> np.ndarray:
     """`vol2` over an (m, 3, 2) array of circle directions, one triple per row."""
     if points.shape[-1] != 2:
         raise MixedModels("vol2 expects points on the circle (dim 2)")
-    _require_distinct_rows(points, real_chordal_distance, tol)
+    _require_distinct_rows(points, tol, real_chordal_distance)
     turn = circle_orientation(*points.transpose(1, 2, 0))
     return np.where(turn > 0, math.pi, -math.pi)
 
@@ -138,7 +138,7 @@ def vol3(x0, x1, x2, x3, tol: float = EPS_DIST) -> float:
 
 def vol3_batch(points: np.ndarray, tol: float = EPS_DIST) -> np.ndarray:
     """`vol3` over an (m, 4, 2) array of ProjectivePoint coords in the P^1(C) chart."""
-    _require_distinct_rows(points, pair_chordal_distance, tol)
+    _require_distinct_rows(points, tol, pair_chordal_distance)
     num, den = _cross_ratio_terms(*points.transpose(1, 2, 0))
     return vol3_from_cross_ratio_batch(num / den)
 

@@ -6,7 +6,7 @@ import pytest
 from boundarykit import (Flag3, NotGeneric, NotOpposite, SamplerConfig,
                          flat_boundary, is_generic_triple, is_opposite,
                          random_flag, sampling_stats, triple_ratio)
-from boundarykit.flags import (batch_is_generic, batch_normalize_flags,
+from boundarykit.flags import (PAIRING_TOL, batch_is_generic, batch_normalize_flags,
                                batch_random_flags, batch_triple_ratio)
 
 E1, E2, E3 = np.eye(3)
@@ -303,12 +303,23 @@ def test_batch_matches_scalar():
     for i in range(3):
         lines[:, i], planes[:, i] = batch_random_flags(rng, n)
     mask = batch_is_generic(lines, planes)
-    ratios = batch_triple_ratio(lines, planes)
-    for k in range(n):
-        triple = tuple(Flag3(lines[k, i], planes[k, i]) for i in range(3))
+    triples = [tuple(Flag3(lines[k, i], planes[k, i]) for i in range(3)) for k in range(n)]
+    # the kernels on the flags' own vectors
+    ratios = batch_triple_ratio(np.array([[f.line for f in t] for t in triples]),
+                                np.array([[f.plane for f in t] for t in triples]))
+    for k, triple in enumerate(triples):
         assert is_generic_triple(*triple) == bool(mask[k])
         if mask[k]:
-            assert triple_ratio(*triple) == pytest.approx(ratios[k], rel=1e-10)
+            assert triple_ratio(*triple) == ratios[k]
+    # pairings just below, at and just above the tolerance: F_12's covector
+    # dx3 takes the value t on the line (0, 1, t), a unit vector in floats
+    for t in (np.nextafter(PAIRING_TOL, 0), PAIRING_TOL, np.nextafter(PAIRING_TOL, 1)):
+        g = Flag3([0.0, 1.0, t], E1)
+        assert F_12.pairing(g) == t and g.pairing(F_12) == 1.0
+        for pair in ((F_12, g), (g, F_12)):
+            pair_mask = batch_is_generic(np.array([[f.line for f in pair]]),
+                                         np.array([[f.plane for f in pair]]))
+            assert is_opposite(*pair) == bool(pair_mask[0]) == (t > PAIRING_TOL)
 
 
 def test_batch_mask_on_pairs_matches_is_opposite():
@@ -324,6 +335,12 @@ def test_batch_mask_on_pairs_matches_is_opposite():
     for k in range(n):
         pair = tuple(Flag3(lines[k, i], planes[k, i]) for i in range(2))
         assert is_opposite(*pair) == bool(mask[k])
+        # at a tolerance equal to the smaller pairing, and just below it, the
+        # two agree on the flags' own vectors only if they pair them alike
+        edge = min(abs(pair[0].pairing(pair[1])), abs(pair[1].pairing(pair[0])))
+        own = np.array([[f.line for f in pair]]), np.array([[f.plane for f in pair]])
+        for tol in (edge, np.nextafter(edge, 0)):
+            assert is_opposite(*pair, tol) == bool(batch_is_generic(*own, tol)[0])
     assert not mask[::4].any() and mask[1::4].all()
 
 

@@ -98,7 +98,7 @@ def test_cartan_isometry_invariance():
 
 def test_cartan_rejects_degenerate_triple():
     p = chain_point(0.4)
-    with pytest.raises(DegenerateTuple):
+    with pytest.raises(DegenerateTuple, match="points 0 and 1 coincide"):
         cartan_invariant(p, p, chain_point(2.0))
 
 
@@ -214,8 +214,15 @@ def test_barycenter_continuity():
 
 def test_barycenter_rejects_degenerate_triple():
     p = circle_point(0.1)
-    with pytest.raises(DegenerateTuple):
+    with pytest.raises(DegenerateTuple, match="points 0 and 1 coincide"):
         barycenter_ideal_triangle(p, p, circle_point(2.0))
+
+
+def test_restrict_to_h3_rejects_a_coincident_pair():
+    p = RealBoundaryPoint([1.0, 0.0, 0.0, 0.0])
+    others = [RealBoundaryPoint(v) for v in np.eye(4)[1:3]]
+    with pytest.raises(DegenerateTuple, match="points 0 and 1 coincide"):
+        restrict_to_h3(p, p, *others)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports at top level, and
 every top-level function and class, and every public method and property of
-a top-level class, is used somewhere, and every dataclass field is read."""
+a top-level class, is used somewhere, every private top-level one by the package
+itself, and every dataclass field is read."""
 
 import ast
 import collections
@@ -60,8 +61,9 @@ def uses(path):
             yield path, owner, name
 
 
-def test_every_top_level_definition_is_referenced():
-    files = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+def unreferenced_definitions(files, private_only=False):
+    """Top-level functions and classes of the package (private ones only, with
+    `private_only`) that no file of `files` uses outside their own body."""
     references = {}
     for path in files:
         for where, owner, name in uses(path):
@@ -69,11 +71,22 @@ def test_every_top_level_definition_is_referenced():
     unused = []
     for path in MODULES:
         for statement in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(statement, DEFINITIONS):
+            if (isinstance(statement, DEFINITIONS)
+                    and (statement.name.startswith("_") or not private_only)):
                 own_body = {(path, statement.name)}  # not a use of itself
                 if not references.get(statement.name, set()) - own_body:
                     unused.append(f"{path.stem}.{statement.name}")
-    assert unused == []
+    return unused
+
+
+def test_every_top_level_definition_is_referenced():
+    files = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert unreferenced_definitions(files) == []
+
+
+def test_every_private_top_level_definition_is_used_by_the_package():
+    # a private twin of a kernel that only tests call is a second implementation
+    assert unreferenced_definitions(sorted(PACKAGE.glob("*.py")), private_only=True) == []
 
 
 def test_every_public_method_is_referenced():

@@ -13,7 +13,7 @@ from boundarykit import (ComplexBoundaryPoint, DegenerateTuple, RealBoundaryPoin
                          SamplerConfig, boundary_to_chart, cartan_invariant,
                          invariant_values, is_generic_tuple, sample_tuples,
                          sampling, vol2, vol3)
-from boundarykit.hyperbolic import (canonical_lifts, cartan_invariant_batch,
+from boundarykit.hyperbolic import (ball_lifts, canonical_lifts, cartan_invariant_batch,
                                     complex_chordal_distance,
                                     real_chordal_distance)
 from boundarykit.projective import _require_distinct
@@ -99,8 +99,7 @@ def test_a_complex_pair_at_exactly_tol_is_rejected():
 def test_complex_batch_mask_agrees_with_is_generic_tuple():
     tol = 0.5
     rng = np.random.default_rng(8)
-    batch = sampling._complex_lifts(rng.standard_normal((400, 3, 2)),
-                                    rng.standard_normal((400, 3, 2)))
+    batch = ball_lifts(rng.standard_normal((400, 3, 2)) + 1j * rng.standard_normal((400, 3, 2)))
     points = [tuple(ComplexBoundaryPoint(lift) for lift in row) for row in batch]
     mask = sampling._mask_generic(batch, tol, complex_chordal_distance)
     assert mask.tolist() == [is_generic_tuple(t, tol) for t in points]
@@ -127,6 +126,42 @@ def test_canonical_lifts_are_the_point_lifts_bit_for_bit(n):
     z = np.concatenate([w, np.ones((3000, 1))], axis=1) * scale
     expected = np.array([ComplexBoundaryPoint(row).lift for row in z])
     assert canonical_lifts(z).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_random_complex_point_is_a_one_point_tuple_of_the_sampler(n):
+    scalar, batch = np.random.default_rng(80 + n), np.random.default_rng(80 + n)
+    for _ in range(200):
+        (point,) = ComplexTupleSampler(n, 1)(batch)
+        assert random_complex_boundary_point(scalar, n).lift.tobytes() == point.lift.tobytes()
+
+
+def first_maxima(z):
+    """The first coordinate of largest np.hypot, and of largest np.abs, of each
+    row of z, once each row is divided by its norm."""
+    z = z / np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))[:, None]
+    return np.argmax(np.hypot(z.real, z.imag), axis=1), np.argmax(np.abs(z), axis=1)
+
+
+@pytest.mark.parametrize("w", [
+    # chain-triple lifts (e^{it}, 0, 1)/sqrt(2): coordinates 0 and 2 tie in modulus
+    np.stack([np.exp(1j * np.linspace(0.0, 6.3, 400)), np.zeros(400)], axis=1),
+    # the lift of (0, e^{it}, 0) at t = 6.1894, whose coordinates 1 and 3 np.abs
+    # ranks 1 over 3 and np.hypot 3 over 1
+    np.array([[0.0, np.exp(6.1894j), 0.0]])], ids=["chain", "ranked-apart"])
+def test_every_complex_lift_pivots_at_the_first_hypot_maximum(w):
+    lifts = ball_lifts(w)
+    by_hypot, by_abs = first_maxima(lifts)
+    assert (by_hypot != by_abs).any()  # the pivot of an np.abs ranking would differ
+    canonical = canonical_lifts(lifts)
+    draws = np.stack([w.real, w.imag])  # one tuple of the sampler's random numbers
+    for points in ([ComplexBoundaryPoint(lift) for lift in lifts],
+                   ComplexTupleSampler(w.shape[1], len(w)).points(draws)):
+        assert np.array([p.lift for p in points]).tobytes() == canonical.tobytes()
+    # made positive real up to the rounding of z * (|p| / p); where the pivots
+    # differ, the np.abs pivot keeps an imaginary part of 3e-4 or more
+    pivots = canonical[np.arange(len(w)), by_hypot]
+    assert (np.abs(pivots.imag) <= 1e-16).all() and (pivots.real > 0.0).all()
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -178,7 +213,7 @@ def random_lifts(rng, count, n, near=None, scale=0.0):
     re, im = rng.standard_normal((2, count, 1, n))
     if near is not None:
         re, im = near[0] + scale * re, near[1] + scale * im
-    return sampling._complex_lifts(re, im)[:, 0], (re, im)
+    return ball_lifts(re + 1j * im)[:, 0], (re, im)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

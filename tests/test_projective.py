@@ -1,10 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from boundarykit import (DegenerateTuple, MoebiusMap, ProjectivePoint,
                          SingularMatrix, apply_moebius, cross_ratio,
                          is_infinite, normalize_to_standard)
-from boundarykit.projective import pair_chordal_distance
+from boundarykit.hyperbolic import chart_coords
+from boundarykit.projective import _cross_ratio_terms, pair_chordal_distance
 
 INF_R = ProjectivePoint.infinity("real")
 
@@ -142,3 +145,75 @@ def test_pair_distances_equal_the_point_distances_bit_for_bit():
     q = [cp(v) for v in values[1]]
     batch = pair_chordal_distance(np.array([x.coords for x in p]), np.array([y.coords for y in q]))
     assert batch.tolist() == [float(x.chordal_distance(y)) for x, y in zip(p, q)]
+
+
+# ---------------------------------------------------------------------------
+# symmetries of the cross ratio on batches, near 0, 1 and infinity too
+
+
+# point j moved to within about `gap` of point i makes the cross ratio
+# [x0,x1,x2,x3] near 0 for {i, j} = {0, 2} or {1, 3}, near 1 for {0, 1} or
+# {2, 3} and near infinity for {0, 3} or {1, 2}
+CLOSE = {"random": None, "near-0": ((0, 2), 1e-6), "near-0-tight": ((1, 3), 1e-9),
+         "near-1": ((0, 1), 1e-6), "near-1-tight": ((2, 3), 1e-9),
+         "near-inf": ((0, 3), 1e-6), "near-inf-tight": ((1, 2), 1e-9)}
+
+
+def chart_tuples(close, m=2000):
+    """Unit pairs of m tuples of four points of P^1(C), drawn uniformly on S^2
+    through the chart, or with `close` = ((i, j), gap) point j near point i."""
+    rng = np.random.default_rng(17)
+    u = rng.standard_normal((m, 4, 3))
+    u /= np.linalg.norm(u, axis=2, keepdims=True)
+    if close is not None:
+        (i, j), gap = close
+        u[:, j] = u[:, i] + gap * rng.standard_normal((m, 3))
+        u /= np.linalg.norm(u, axis=2, keepdims=True)
+    coords = chart_coords(u)
+    z = batch_cross_ratios(coords)
+    # a close pair puts every cross ratio within 1e-4 of 0, 1 or infinity
+    assert close is None or (np.minimum.reduce([np.abs(z), np.abs(1 - z), 1 / np.abs(z)])
+                             < 1e-4).all()
+    return coords, z
+
+
+def batch_cross_ratios(coords, order=(0, 1, 2, 3)):
+    """[x_order[0], ..., x_order[3]] of each tuple, from `_cross_ratio_terms`."""
+    num, den = _cross_ratio_terms(*(coords[:, k].T for k in order))
+    return num / den
+
+
+def rounding(coords):
+    """eps times the sum of 1/d over the six pairs of each tuple: a determinant
+    of unit pairs at distance d is off by about eps absolutely, eps/d relatively,
+    so a cross ratio, made of four of them, by at most this relatively."""
+    eps = np.finfo(float).eps
+    return eps * sum(1.0 / pair_chordal_distance(coords[:, i], coords[:, j])
+                     for i, j in itertools.combinations(range(4), 2))
+
+
+@pytest.mark.parametrize("close", CLOSE.values(), ids=CLOSE.keys())
+def test_batch_cross_ratio_is_invariant_under_the_klein_four_group(close):
+    # relative tolerance: rounding(coords); the permutations reuse the
+    # determinants, but np.multiply need not round a * b as b * a
+    coords, z = chart_tuples(close)
+    for order in ((1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)):
+        assert (np.abs(batch_cross_ratios(coords, order) - z)
+                <= rounding(coords) * np.abs(z)).all()
+
+
+S3_ORBIT = {(0, 1, 3, 2): lambda z: 1 / z, (0, 2, 1, 3): lambda z: 1 - z,
+            (0, 2, 3, 1): lambda z: 1 / (1 - z), (0, 3, 1, 2): lambda z: (z - 1) / z,
+            (0, 3, 2, 1): lambda z: z / (z - 1)}
+
+
+@pytest.mark.parametrize("close", CLOSE.values(), ids=CLOSE.keys())
+def test_batch_cross_ratio_permutations_give_its_s3_orbit(close):
+    # relative tolerance: rounding(coords) * (1 + (1 + |z|) / |1 - z|), the
+    # second factor bounding 1 + the condition number of each f at z
+    coords, z = chart_tuples(close)
+    rtol = rounding(coords) * (1 + (1 + np.abs(z)) / np.abs(1 - z))
+    for order, f in S3_ORBIT.items():
+        expected = f(z)
+        assert (np.abs(batch_cross_ratios(coords, order) - expected)
+                <= rtol * np.abs(expected)).all()

@@ -8,7 +8,7 @@ from boundarykit import (MAX_VOL3, DegenerateTuple, MoebiusMap, ProjectivePoint,
                          RealBoundaryPoint, apply_moebius, lobachevsky, vol2, vol3,
                          vol3_from_cross_ratio)
 from boundarykit.sampling import chart_tuple_sampler, draw_tuples
-from boundarykit.volume import lobachevsky_batch, vol3_from_cross_ratio_batch
+from boundarykit.volume import lobachevsky_batch, vol3_batch, vol3_from_cross_ratio_batch
 
 LOB_PI_6 = 0.5074708032048268  # frozen from the N = 10^6 truncated series
 
@@ -97,6 +97,14 @@ def test_vol2_alternating():
 def test_vol2_rejects_coincident_points():
     with pytest.raises(DegenerateTuple):
         vol2(circle_point(10), circle_point(10), circle_point(100))
+
+
+def test_vol3_batch_names_the_first_bad_tuple_and_its_first_close_pair():
+    p, q, r, s = (cp(v).coords for v in (0.5j, 2.0, -1.0 + 1.0j, 3.0 - 2.0j))
+    # tuple 1 repeats its third point, tuple 2 its first, which an earlier pair holds
+    batch = np.array([[p, q, r, s], [p, q, r, r], [p, p, r, s]])
+    with pytest.raises(DegenerateTuple, match="points 2 and 3 of tuple 1 coincide"):
+        vol3_batch(batch)
 
 
 def test_vol2_coboundary_vanishes_exactly():
