@@ -307,7 +307,7 @@ def boundary_to_chart(p: RealBoundaryPoint) -> ProjectivePoint:
 
 def chart_coords(u) -> np.ndarray:
     """`boundary_to_chart(p).coords` for an (..., dim) array u of unit directions."""
-    return np.moveaxis(_normalize_pair(np.stack(_chart_pair(np.moveaxis(u, -1, 0)))), 0, -1)
+    return np.moveaxis(np.stack(_normalize_pair(*_chart_pair(np.moveaxis(u, -1, 0)))), 0, -1)
 
 
 def _chart_pair(u):

@@ -8,6 +8,7 @@ may vanish.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 
@@ -23,27 +24,48 @@ INFINITY = float("inf")
 
 def is_infinite(value) -> bool:
     """True for the extended-scalar infinity (real or complex)."""
-    return not bool(np.isfinite(value))
+    return not cmath.isfinite(value)
 
 
-def _normalize_pair(coords):
-    """Unit-normalize homogeneous pairs and fix a deterministic phase.
+def _mul(x, y):
+    """x * y for two scalars or two arrays of one field.  Python's and numpy's
+    scalar complex products round as this real arithmetic does; numpy's complex
+    array loop rounds some products otherwise."""
+    if isinstance(x, np.ndarray) and x.dtype.kind == "c":
+        return (x.real * y.real - x.imag * y.imag) + 1j * (x.real * y.imag + x.imag * y.real)
+    return x * y
 
-    The coordinate of largest modulus is made positive real, so each
-    projective point has exactly one representative.  Pairs run along the
-    first axis; np.hypot is abs() of a complex scalar bit for bit.
+
+def _modulus(z):
+    """np.hypot(Re z, Im z).  abs() of a scalar is the same libm hypot, without
+    a numpy call's microsecond; numpy's abs of a complex array rounds otherwise."""
+    return np.hypot(z.real, z.imag) if isinstance(z, np.ndarray) else abs(z)
+
+
+def _where(cond, x, y):
+    """np.where, or on a scalar cond the plain choice, which costs no numpy call."""
+    return np.where(cond, x, y) if isinstance(cond, np.ndarray) else (x if cond else y)
+
+
+def _all(mask):
+    """mask.all(), or bool(mask) on a scalar mask, where the method costs a microsecond."""
+    return mask.all() if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _normalize_pair(a, b):
+    """Unit-normalize homogeneous pairs (a, b), scalars or arrays, and fix a
+    deterministic phase: the first coordinate p of largest modulus is made
+    positive real by the factor conj(p) / |p|, so each projective point has
+    exactly one representative.
     """
-    c = np.asarray(coords)
-    re, im = c.real, c.imag
-    norm = np.sqrt(re[0] * re[0] + im[0] * im[0] + re[1] * re[1] + im[1] * im[1])
-    if not ((norm > 0.0) & (norm < math.inf)).all():
+    norm = np.sqrt(a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag)
+    if not _all((norm > 0.0) & (norm < math.inf)):
         raise ValueError("homogeneous pair must be finite and nonzero")
-    c = c / norm
-    modulus = np.hypot(c.real, c.imag)
-    pivot = np.where(modulus[1] > modulus[0], c[1], c[0])
-    c = c * (np.maximum(modulus[0], modulus[1]) / pivot)
-    c.flags.writeable = False
-    return c
+    a, b = a * (1.0 / norm), b * (1.0 / norm)  # numpy's complex / norm, as Python's is not
+    modulus_a, modulus_b = _modulus(a), _modulus(b)
+    lead = modulus_b > modulus_a
+    phase = _where(lead, b, a).conjugate() * (1.0 / _where(lead, modulus_b, modulus_a))
+    return _mul(a, phase), _mul(b, phase)
 
 
 class ProjectivePoint:
@@ -54,8 +76,10 @@ class ProjectivePoint:
     def __init__(self, a, b, field_tag: str = "complex"):
         if field_tag not in ("real", "complex"):
             raise ValueError(f"unknown field tag {field_tag!r}")
-        dtype = np.float64 if field_tag == "real" else np.complex128
-        object.__setattr__(self, "coords", _normalize_pair(np.array([a, b], dtype=dtype)))
+        scalar = float if field_tag == "real" else complex
+        coords = np.array(_normalize_pair(scalar(a), scalar(b)))
+        coords.setflags(write=False)
+        object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "field_tag", field_tag)
 
     def __setattr__(self, name, value):
@@ -86,7 +110,7 @@ class ProjectivePoint:
 
     def chordal_distance(self, other: "ProjectivePoint") -> float:
         """|det| of the two unit representatives; scale- and chart-free."""
-        return abs(_det(self.coords, other.coords))
+        return _modulus(_det(self.coords.tolist(), other.coords.tolist()))
 
     def __eq__(self, other):
         if not isinstance(other, ProjectivePoint):
@@ -95,7 +119,7 @@ class ProjectivePoint:
                 and bool(np.array_equal(self.coords, other.coords)))
 
     def __hash__(self):
-        return hash((self.field_tag, self.coords.tobytes()))
+        return hash((self.field_tag, (self.coords + 0.0).tobytes()))  # -0.0 + 0.0 is 0.0
 
     def __repr__(self):
         v = self.value()
@@ -143,20 +167,28 @@ def _require_distinct_rows(batch, tol, distance):
 
 
 def _det(p, q):
-    """a_p b_q - a_q b_p of homogeneous pairs; coordinates along the first axis."""
-    d = p * q[::-1]  # an array product rounds alike for one pair or many; a scalar one need not
-    return d[0] - d[1]
+    """a_p b_q - a_q b_p of homogeneous pairs; coordinates along the first axis.
+    Exactly antisymmetric, and the same bits on scalars and on arrays."""
+    (a, b), (c, d) = p, q
+    if not (isinstance(a, np.ndarray) and a.dtype.kind == "c"):
+        return a * d - c * b
+    det = np.empty(a.shape, np.complex128)  # _mul's products, with one complex result
+    det.real = (a.real * d.real - a.imag * d.imag) - (c.real * b.real - c.imag * b.imag)
+    det.imag = (a.real * d.imag + a.imag * d.real) - (c.real * b.imag + c.imag * b.real)
+    return det
 
 
 def pair_chordal_distance(p, q):
     """`ProjectivePoint.chordal_distance` row by row, for (m, 2) arrays of unit pairs."""
-    d = _det(p.T, q.T)
-    return np.hypot(np.real(d), np.imag(d))
+    return _modulus(_det(p.T, q.T))
 
 
-def _cross_ratio_terms(c0, c1, c2, c3):
-    """Numerator and denominator of the cross ratio of four homogeneous pairs."""
-    return _det(c0, c2) * _det(c1, c3), _det(c0, c3) * _det(c1, c2)
+def _cross_ratio_terms(c):
+    """Numerator and denominator of the cross ratio of four homogeneous pairs c,
+    and the determinants of all six pairs, whose moduli are their chordal distances."""
+    c0, c1, c2, c3 = c
+    d02, d13, d03, d12 = _det(c0, c2), _det(c1, c3), _det(c0, c3), _det(c1, c2)
+    return _mul(d02, d13), _mul(d03, d12), (_det(c0, c1), d02, d03, d12, d13, _det(c2, c3))
 
 
 def cross_ratio(x0: ProjectivePoint, x1: ProjectivePoint,
@@ -167,12 +199,18 @@ def cross_ratio(x0: ProjectivePoint, x1: ProjectivePoint,
     points at infinity need no special casing.  Raises DegenerateTuple when
     two inputs coincide within EPS_DIST.
     """
-    _require_distinct((x0, x1, x2, x3))
-    num, den = _cross_ratio_terms(x0.coords, x1.coords, x2.coords, x3.coords)
+    return _cross_ratio((x0, x1, x2, x3), EPS_DIST)
+
+
+def _cross_ratio(points, tol):
+    num, den, dets = _cross_ratio_terms([x.coords.tolist() for x in points])
+    if min(map(abs, dets)) <= tol:  # abs is _modulus on scalars: the chordal distances
+        _require_distinct(points, tol)  # names the first close pair
     if abs(den) == 0.0:
         return INFINITY
-    v = num / den
-    return float(np.real(v)) if x0.field_tag == "real" else complex(v)
+    if points[0].field_tag == "real":
+        return float(num / den)
+    return complex(np.complex128(num) / den)  # numpy's division, as on arrays
 
 
 class MoebiusMap:
@@ -183,7 +221,7 @@ class MoebiusMap:
     def __init__(self, matrix, field_tag: str = "complex"):
         dtype = np.float64 if field_tag == "real" else np.complex128
         m = np.array(matrix, dtype=dtype).reshape(2, 2)
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        det = _det(*m.T.tolist())
         scale = math.sqrt(abs(det))
         if scale < EPS_DET:
             raise SingularMatrix(f"matrix determinant {abs(det):.3e} below tolerance")
@@ -211,8 +249,7 @@ class MoebiusMap:
             m = rng.standard_normal((2, 2))
             if field_tag == "complex":
                 m = m + 1j * rng.standard_normal((2, 2))
-            det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-            if abs(det) > 1e-3:
+            if abs(_det(*m.T.tolist())) > 1e-3:
                 return cls(m, field_tag)
 
     def compose(self, other: "MoebiusMap") -> "MoebiusMap":
@@ -228,25 +265,20 @@ class MoebiusMap:
 
 def apply_moebius(m: MoebiusMap, x: ProjectivePoint) -> ProjectivePoint:
     """Projective action of the matrix on homogeneous coordinates."""
-    a, b = m.matrix @ x.coords
-    return ProjectivePoint(a, b, x.field_tag)
+    (m00, m01), (m10, m11) = m.matrix.tolist()
+    a, b = x.coords.tolist()  # Python scalars, whose products are _mul's
+    return ProjectivePoint(m00 * a + m01 * b, m10 * a + m11 * b, x.field_tag)
 
 
 def normalize_to_standard(x0: ProjectivePoint, x1: ProjectivePoint,
                           x2: ProjectivePoint) -> MoebiusMap:
     """The Moebius map sending (x0, x1, x2) to (inf, 0, 1).
 
-    Built from the projective frame: the inverse of [x0 | x1] sends x0, x1
-    to the standard basis directions, and a diagonal rescaling then fixes
-    the image of x2 at (1, 1).
+    Its rows are the covectors (b1, -a1) and (-b0, a0), which vanish at x1
+    and at x0, each divided by its value at x2, so x2 goes to (1, 1).  Both
+    values are determinants of distinct points, so neither vanishes.
     """
     _require_distinct((x0, x1, x2))
     (a0, b0), (a1, b1) = x0.coords, x1.coords
-    det = _det(x0.coords, x1.coords)
-    if abs(det) < EPS_DET:
-        raise DegenerateTuple("first two points coincide projectively")
-    inv = np.array([[b1, -a1], [-b0, a0]]) / det
-    w = inv @ x2.coords
-    if min(abs(w[0]), abs(w[1])) < EPS_DET:
-        raise DegenerateTuple("third point coincides with one of the first two")
-    return MoebiusMap(np.diag([1.0 / w[0], 1.0 / w[1]]) @ inv, x0.field_tag)
+    d21, d02 = _det(x2.coords, x1.coords), _det(x0.coords, x2.coords)
+    return MoebiusMap([[b1 / d21, -a1 / d21], [-b0 / d02, a0 / d02]], x0.field_tag)

@@ -11,22 +11,23 @@ with sign convention sign(Im z) and value 0 for real z (flat simplex).
 Since L is pi-periodic, each angle is taken modulo pi, as arctan(Im u / Re u)
 of u = z, 1/(1-z) and (z-1)/z, so the kernel never shifts by the float pi.
 
-One kernel evaluates the Lobachevsky function: `lobachevsky_batch`, a
-zeta-accelerated expansion exact to machine precision.  Each scalar
-function (`lobachevsky`, `vol3_from_cross_ratio`, `vol2`, `vol3`) is a
-one-element call of its array form.
+One series evaluates the Lobachevsky function, a zeta-accelerated expansion
+exact to machine precision, and one function the three angles; `lobachevsky`
+and `vol3_from_cross_ratio` run them on floats, bit for bit as their batch
+forms run them on arrays, and `vol2` runs `circle_orientation` on one triple.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
 from .errors import DegenerateTuple, MixedModels
 from .hyperbolic import RealBoundaryPoint, boundary_to_chart, real_chordal_distance
-from .projective import (EPS_DIST, ProjectivePoint, _cross_ratio_terms, _require_distinct_rows,
-                         pair_chordal_distance)
+from .projective import (EPS_DIST, ProjectivePoint, _cross_ratio, _cross_ratio_terms, _modulus,
+                         _require_distinct, _require_distinct_rows, pair_chordal_distance)
 
 # zeta(2n) for the accelerated expansion; exact powers of pi for the first
 # three, rapidly converging direct sums beyond
@@ -39,31 +40,37 @@ _COEFF = [_ZETA_EVEN[n] / (n * (2 * n + 1)) for n in range(43, 0, -1)]
 def lobachevsky(theta: float) -> float:
     """Lobachevsky function L(theta) = 1/2 sum sin(2 n theta)/n^2.
 
-    Odd and pi-periodic: `lobachevsky_batch` after reduction mod pi.
+    Odd and pi-periodic: the series of `lobachevsky_batch` after reduction
+    mod pi, on a float.
     """
-    return float(lobachevsky_batch(np.array([math.remainder(theta, math.pi)]))[0])
+    if not math.isfinite(theta):
+        raise ValueError("lobachevsky needs a finite angle")
+    return float(_lobachevsky_series(math.remainder(theta, math.pi)))
 
 
 def lobachevsky_batch(theta: np.ndarray) -> np.ndarray:
     """Lobachevsky function over an array of angles with |theta| <= pi.
 
-    Uses the expansion
-    L(x) = x - x log|2x| + x sum_{n>=1} zeta(2n)/(n(2n+1)) (x/pi)^{2n},
-    which converges geometrically for |x| <= pi/2.  The reduction to that
-    range is an exact shift by +-pi (Sterbenz), and the series is summed by
-    Horner's rule, so no power matrix is built.
+    The reduction to [-pi/2, pi/2] is an exact shift by +-pi (Sterbenz).
     """
     x = np.asarray(theta, dtype=np.float64)
-    if np.any(np.abs(x) > math.pi):
+    if not np.all(np.abs(x) <= math.pi):  # NaN fails this too
         raise ValueError("lobachevsky_batch needs |theta| <= pi")
-    x = np.where(x > math.pi / 2, x - math.pi, np.where(x < -math.pi / 2, x + math.pi, x))
-    r = (x / math.pi) ** 2
-    series = np.zeros_like(r)
+    return _lobachevsky_series(
+        np.where(x > math.pi / 2, x - math.pi, np.where(x < -math.pi / 2, x + math.pi, x)))
+
+
+def _lobachevsky_series(x):
+    """L(x) for |x| <= pi/2, on a float or an array, from the expansion
+    L(x) = x - x log|2x| + x sum_{n>=1} zeta(2n)/(n(2n+1)) (x/pi)^{2n},
+    which converges geometrically there, summed by Horner's rule."""
+    q = x / math.pi
+    r = q * q
+    series = 0.0
     for c in _COEFF:
         series = (series + c) * r
-    # L(0) = 0: every term carries a factor x, so log(2) stands in for log(0)
-    safe = np.where(x == 0.0, 1.0, x)
-    return x - x * np.log(np.abs(2.0 * safe)) + x * series
+    # L(0) = 0: every term carries a factor x, so log(1) stands in for log(0)
+    return x - x * np.log(abs(2.0 * x) + (x == 0.0)) + x * series
 
 
 def circle_orientation(u, v, w):
@@ -83,7 +90,8 @@ def vol2(x: RealBoundaryPoint, y: RealBoundaryPoint, z: RealBoundaryPoint,
     """
     if any(p.dim != 2 for p in (x, y, z)):
         raise MixedModels("vol2 expects points on the circle (dim 2)")
-    return float(vol2_batch(np.array([[x.direction, y.direction, z.direction]]), tol)[0])
+    _require_distinct((x, y, z), tol)
+    return math.pi if circle_orientation(x.direction, y.direction, z.direction) > 0 else -math.pi
 
 
 def vol2_batch(points: np.ndarray, tol: float = EPS_DIST) -> np.ndarray:
@@ -97,7 +105,13 @@ def vol2_batch(points: np.ndarray, tol: float = EPS_DIST) -> np.ndarray:
 
 def vol3_from_cross_ratio(z) -> float:
     """Ideal-tetrahedron volume as a function of the cross ratio."""
-    return float(vol3_from_cross_ratio_batch(np.array([complex(z)]))[0])
+    w = np.complex128(z)  # numpy's divisions, as on arrays
+    if not (cmath.isfinite(w) and w != 0 and w != 1):
+        raise DegenerateTuple("cross ratio degenerated to 0, 1 or infinity")
+    if w.imag == 0.0:
+        return 0.0
+    t0, t1, t2 = map(float, _dihedral_angles(w))  # the series runs faster on floats
+    return float(_lobachevsky_series(t0) + _lobachevsky_series(t1) + _lobachevsky_series(t2))
 
 
 def vol3_from_cross_ratio_batch(z: np.ndarray) -> np.ndarray:
@@ -107,17 +121,18 @@ def vol3_from_cross_ratio_batch(z: np.ndarray) -> np.ndarray:
         raise DegenerateTuple("cross ratio degenerated to 0, 1 or infinity")
     volume = np.zeros(z.shape)
     nonreal = z.imag != 0.0
-    w = z[nonreal]
-    # the three dihedral angles in one kernel call, so a single z costs one;
-    # (w - 1) / w is 1 - 1/w without its cancellation near w = 1
-    u = np.stack([w, 1.0 / (1.0 - w), (w - 1.0) / w])
-    # L is pi-periodic, so L(arg u) = L(arctan(Im u / Re u)), an angle in
-    # [-pi/2, pi/2]: no shift by the float pi, which is off by 1.2e-16 where
-    # L has a log-singular slope
-    with np.errstate(divide="ignore"):  # Re u = 0 gives arctan(+-inf) = +-pi/2
-        angles = lobachevsky_batch(np.arctan(u.imag / u.real))
+    # the three dihedral angles in one series call, so a block costs one
+    angles = _lobachevsky_series(np.stack(_dihedral_angles(z[nonreal])))
     volume[nonreal] = angles[0] + angles[1] + angles[2]
     return volume
+
+
+def _dihedral_angles(w):
+    """The three angles arctan(Im u / Re u) above, of non-real cross ratios w,
+    numpy scalars or arrays: the float pi is off by 1.2e-16 where L has a
+    log-singular slope, and (w-1)/w is 1-1/w without its cancellation near 1."""
+    with np.errstate(divide="ignore"):  # Re u = 0 gives arctan(+-inf) = +-pi/2
+        return [np.arctan(u.imag / u.real) for u in (w, 1.0 / (1.0 - w), (w - 1.0) / w)]
 
 
 def vol3(x0, x1, x2, x3, tol: float = EPS_DIST) -> float:
@@ -133,13 +148,15 @@ def vol3(x0, x1, x2, x3, tol: float = EPS_DIST) -> float:
     for p in points:
         if not isinstance(p, ProjectivePoint):
             raise TypeError(f"vol3 expects boundary points, got {type(p).__name__}")
-    return float(vol3_batch(np.array([[p.coords for p in points]]), tol)[0])
+    return vol3_from_cross_ratio(_cross_ratio(points, tol))
 
 
 def vol3_batch(points: np.ndarray, tol: float = EPS_DIST) -> np.ndarray:
     """`vol3` over an (m, 4, 2) array of ProjectivePoint coords in the P^1(C) chart."""
-    _require_distinct_rows(points, tol, pair_chordal_distance)
-    num, den = _cross_ratio_terms(*points.transpose(1, 2, 0))
+    # contiguous coordinates: real arithmetic on them runs about twice as fast
+    num, den, dets = _cross_ratio_terms(np.ascontiguousarray(points.transpose(1, 2, 0)))
+    if not all((_modulus(d) > tol).all() for d in dets):  # the chordal distances
+        _require_distinct_rows(points, tol, pair_chordal_distance)  # names the first close pair
     return vol3_from_cross_ratio_batch(num / den)
 
 

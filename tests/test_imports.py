@@ -135,3 +135,11 @@ def test_every_dataclass_field_is_read():
                               if isinstance(field, ast.AnnAssign)
                               and field.target.id not in read)
     assert unread == []
+
+
+def test_the_lobachevsky_series_has_one_reader():
+    # one Horner loop serves the scalar and the batch routes; a second reader
+    # of the coefficients is a second copy of the series
+    readers = {f"{where.stem}.{owner}" for path in MODULES for where, owner, name in uses(path)
+               if name == "_COEFF" and owner is not None}
+    assert readers == {"volume._lobachevsky_series"}

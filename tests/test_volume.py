@@ -6,7 +6,7 @@ import pytest
 
 from boundarykit import (MAX_VOL3, DegenerateTuple, MoebiusMap, ProjectivePoint,
                          RealBoundaryPoint, apply_moebius, lobachevsky, vol2, vol3,
-                         vol3_from_cross_ratio)
+                         vol3_from_cross_ratio, volume)
 from boundarykit.sampling import chart_tuple_sampler, draw_tuples
 from boundarykit.volume import lobachevsky_batch, vol3_batch, vol3_from_cross_ratio_batch
 
@@ -209,6 +209,14 @@ def test_lobachevsky_batch_refuses_angles_beyond_pi():
         lobachevsky_batch(np.array([0.5, math.nextafter(math.pi, 4.0)]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_lobachevsky_refuses_a_non_finite_angle(bad):
+    with pytest.raises(ValueError, match="pi"):
+        lobachevsky_batch(np.array([0.5, bad]))
+    with pytest.raises(ValueError, match="finite"):
+        lobachevsky(bad)
+
+
 def test_vol3_batch_matches_the_scalar_route():
     rng = np.random.default_rng(72)
     n = 5000
@@ -220,10 +228,23 @@ def test_vol3_batch_matches_the_scalar_route():
                     + 1e-6 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
     real = 5.0 * rng.standard_normal(n)
     z = np.concatenate([general, near_real, near_0_and_1, real])
-    scalar = np.array([vol3_from_cross_ratio(w) for w in z.tolist()])
+    scalar = [vol3_from_cross_ratio(w) for w in z.tolist()]
     batch = vol3_from_cross_ratio_batch(z)
-    assert np.max(np.abs(batch - scalar)) <= 4e-15
+    assert scalar == batch.tolist()
     assert np.all(batch[-n:] == 0.0)  # real cross ratios span flat simplices
+
+
+def test_the_volume_satisfies_the_five_term_relation():
+    # V(x) - V(y) + V(y/x) - V((1-y)/(1-x)) + V(x(1-y)/(y(1-x))) = 0 for the
+    # Bloch-Wigner function V (Zagier, "The dilogarithm function", 2007)
+    rng = np.random.default_rng(76)
+    x, y = 2.0 * (rng.standard_normal((2, 150_000)) + 1j * rng.standard_normal((2, 150_000)))
+    apart = np.minimum.reduce([np.abs(x), np.abs(y), np.abs(1 - x), np.abs(1 - y), np.abs(x - y)])
+    x, y = x[apart >= 1e-3][:100_000], y[apart >= 1e-3][:100_000]
+    assert len(x) == 100_000
+    v = vol3_from_cross_ratio_batch
+    terms = v(x) - v(y) + v(y / x) - v((1 - y) / (1 - x)) + v(x * (1 - y) / (y * (1 - x)))
+    assert np.max(np.abs(terms)) <= 1e-14
 
 
 def test_vol3_batch_at_the_regular_tetrahedron():
@@ -239,7 +260,30 @@ def test_vol3_batch_rejects_degenerate_cross_ratios(bad):
 
 
 # ---------------------------------------------------------------------------
-# the scalar routes are one-element calls of the array kernels
+# the scalar routes run the array kernels' arithmetic on floats
+
+
+def test_lobachevsky_is_the_batch_kernel_bit_for_bit():
+    rng = np.random.default_rng(77)
+    theta = np.concatenate([[0.0, -0.0, math.pi, -math.pi, math.pi / 2, -math.pi / 2,
+                             math.nextafter(math.pi / 2, 4.0), math.nextafter(-math.pi / 2, -4.0)],
+                            rng.uniform(-math.pi, math.pi, 100_000)])
+    assert [lobachevsky(t) for t in theta.tolist()] == lobachevsky_batch(theta).tolist()
+    beyond = rng.uniform(-40.0, 40.0, 20_000)
+    reduced = np.array([math.remainder(t, math.pi) for t in beyond.tolist()])
+    assert [lobachevsky(t) for t in beyond.tolist()] == lobachevsky_batch(reduced).tolist()
+
+
+def test_the_scalar_routes_make_no_batch_call(monkeypatch):
+    theta, z = (0.1, 2.0, -7.0), (0.3 + 0.7j, 1.0 - 1e-7j, -2.5 + 0.0j)
+    expected = [lobachevsky(t) for t in theta], [vol3_from_cross_ratio(w) for w in z]
+
+    def refuse(*args):
+        raise AssertionError("a scalar route called a batch kernel")
+
+    monkeypatch.setattr(volume, "lobachevsky_batch", refuse)
+    monkeypatch.setattr(volume, "vol3_from_cross_ratio_batch", refuse)
+    assert ([lobachevsky(t) for t in theta], [vol3_from_cross_ratio(w) for w in z]) == expected
 
 
 def test_lobachevsky_matches_the_clausen_oracle_beyond_pi():
