@@ -21,11 +21,11 @@ a global bound.
 
 `certify_interval` and `certify_complex_region` only build their region
 (grids, target-membership test, squaring cap); one core, `_certify`, runs
-the recursion on either, over numpy blocks of BLOCK grid points.  Suprema
-are measured on grids and labeled `empirical`; callers may supply
-`analytic` values instead.  Target grids include a dyadic tail toward their
-open endpoint so divergent inputs are refused, naming the offending point,
-rather than certified.
+the recursion on either, over numpy blocks of `sampling.ROW_BLOCK` grid
+points.  Suprema are measured on grids and labeled `empirical`; callers
+may supply `analytic` values instead.  Target grids include a dyadic
+tail toward their open endpoint so divergent inputs are refused, naming
+the offending point, rather than certified.
 """
 
 from __future__ import annotations
@@ -39,12 +39,12 @@ import numpy as np
 
 from .errors import (DegenerateArguments, EvaluationError, IterationOverflow,
                      MissingAlternation, UnboundedDefect)
+from .sampling import _blocks
 
 ARG_TOL = 1e-12            # distance to the excluded points 0, 1
 BLOWUP_THRESHOLD = 1e6     # defect level at which certification is refused
 DYADIC_DEPTH = 48          # halvings of delta in each target grid's tail
 DEFAULT_DELTA = {"real": 0.125, "complex": 0.1}
-BLOCK = 4096               # grid points per array evaluation of F
 
 
 @dataclass(frozen=True)
@@ -190,15 +190,10 @@ def _real_target_grid(delta: float, cfg: GridConfig) -> np.ndarray:
     return np.unique(np.concatenate([uniform, dyadic]))
 
 
-def _blocks(points: np.ndarray):
-    """Consecutive slices of at most BLOCK grid points, in grid order."""
-    return (points[i:i + BLOCK] for i in range(0, len(points), BLOCK))
-
-
 def _sup_abs(F: ScalarFunction, points: np.ndarray) -> float:
     """max |F| over `points`; refuses the first point where |F| is not finite."""
     sup = 0.0
-    for block in _blocks(points):
+    for block in (points[rows] for rows in _blocks(len(points))):
         values = np.abs(_values(F, block))
         bad = ~np.isfinite(values)
         if bad.any():
@@ -226,7 +221,7 @@ def _certify(F: ScalarFunction, target, base, near2, in_target, cap: int,
              region: RegionSpec, overrides: Optional[dict]) -> BoundCertificate:
     """Run the doubling recursion on one region and assemble its certificate.
 
-    The grids are 1-D arrays, walked in blocks of BLOCK points.  Squaring
+    The grids are 1-D arrays, walked in blocks of ROW_BLOCK points.  Squaring
     each `target` point until the array test `in_target` fails gives k_max
     (at most `cap` squarings; a block is counted before F is evaluated on
     it).  B_defect is the defect supremum over the same points, M_base and
@@ -240,7 +235,7 @@ def _certify(F: ScalarFunction, target, base, near2, in_target, cap: int,
         raise ValueError(f"unknown override keys: {sorted(unknown)}")
     k_max = 0
     worst = 0.0
-    for block in _blocks(target):
+    for block in (target[rows] for rows in _blocks(len(target))):
         k_max = max(k_max, _squarings(block, in_target, cap))
         if "B_defect" not in overrides:
             d = np.abs(_doubling_defects(F, block))

@@ -47,15 +47,6 @@ _FUNCTIONS = {
 }
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return 0
-
-
 def _write(envelope: ReportEnvelope, args) -> None:
     if args.out:
         emit_report(envelope, args.format, args.out)
@@ -70,6 +61,9 @@ def _write(envelope: ReportEnvelope, args) -> None:
         sys.exit(1)
 
 
+# Each verb maps (args, seed) to its report's (config, results, summary) and
+# its exit code, and does no I/O; `main` wraps them in the one envelope.
+
 def _config_from_args(args, seed: int) -> SamplerConfig:
     model = args.model
     dim = args.n if args.n is not None else (3 if model == "complex_hyperbolic" else 2)
@@ -77,15 +71,10 @@ def _config_from_args(args, seed: int) -> SamplerConfig:
                          seed=seed, tolerance=args.tol, dim=dim)
 
 
-def _cmd_sample(args) -> int:
-    seed = _resolve_seed(args)
+def _cmd_sample(args, seed: int):
     config = _config_from_args(args, seed)
     results, stats = sample_columns(config)
-    summary = {"tuples": config.count, **stats}
-    envelope = ReportEnvelope(command="sample", seed=seed, config=config.echo(),
-                              results=results, summary=summary)
-    _write(envelope, args)
-    return 0
+    return config.echo(), results, {"tuples": config.count, **stats}, 0
 
 
 def _resolve_invariant(args, config) -> str:
@@ -96,20 +85,14 @@ def _resolve_invariant(args, config) -> str:
     return name
 
 
-def _cmd_invariant(args) -> int:
-    seed = _resolve_seed(args)
+def _cmd_invariant(args, seed: int):
     config = _config_from_args(args, seed)
     name = _resolve_invariant(args, config)
     results, summary = summarize_invariant(name, invariant_values(config, name))
-    envelope = ReportEnvelope(command="invariant", seed=seed,
-                              config={**config.echo(), "invariant": name},
-                              results=results, summary=summary)
-    _write(envelope, args)
-    return 0
+    return {**config.echo(), "invariant": name}, results, summary, 0
 
 
-def _cmd_verify_cocycle(args) -> int:
-    seed = _resolve_seed(args)
+def _cmd_verify_cocycle(args, seed: int):
     checks = [
         ("vol2_coboundary", Cochain(arity=3, evaluator=vol2, batch=vol2_batch),
          SphereTupleSampler(2, 4), task_seed(seed, 0)),
@@ -126,60 +109,43 @@ def _cmd_verify_cocycle(args) -> int:
     summary = {"all_passed": all_passed,
                "max_sup_abs": max(r["sup_abs"] for r in rows),
                "tolerance": args.tol}
-    envelope = ReportEnvelope(command="verify-cocycle", seed=seed,
-                              config={"count": args.count, "tolerance": args.tol},
-                              results=rows, summary=summary)
-    _write(envelope, args)
-    return 0 if all_passed else 1
+    return ({"count": args.count, "tolerance": args.tol}, rows, summary,
+            0 if all_passed else 1)
 
 
-def _cmd_certify_bound(args) -> int:
-    seed = _resolve_seed(args)
-    if args.delta is None:
-        args.delta = DEFAULT_DELTA[args.field]
-    F = _FUNCTIONS[args.function](args.field)
-    grid = GridConfig(points_per_region=args.grid)
+def _cmd_certify_bound(args, seed: int):
+    delta = DEFAULT_DELTA[args.field] if args.delta is None else args.delta
     config = {"function": args.function, "field": args.field,
-              "delta": args.delta, "grid": args.grid}
+              "delta": delta, "grid": args.grid}
+    certify = certify_complex_region if args.field == "complex" else certify_interval
+    F = _FUNCTIONS[args.function](args.field)
     try:
-        if args.field == "complex":
-            cert = certify_complex_region(F, delta=args.delta, grid=grid)
-        else:
-            cert = certify_interval(F, delta=args.delta, grid=grid)
+        cert = certify(F, delta=delta, grid=GridConfig(points_per_region=args.grid))
     except UnboundedDefect as exc:
-        results = [{"function": args.function, "refused": True,
-                    "reason": str(exc)}]
-        summary = {"refused": True, "reason": str(exc)}
-    else:
-        c_value = cert.inputs["B_defect"] + 2.0 * cert.inputs["M_near2"]
-        row = {"function": args.function, "field": args.field,
-               "kind": cert.region.kind, "delta": cert.region.delta,
-               "certified_bound": cert.certified_bound, "C": c_value,
-               "k_max": cert.k_max}
-        for key in sorted(cert.inputs):
-            row[key] = cert.inputs[key]
-        for key in sorted(cert.provenance):
-            row[f"provenance_{key}"] = cert.provenance[key]
-        results = [row]
-        summary = {"certificate": {"region": asdict(cert.region),
-                                   "certified_bound": cert.certified_bound,
-                                   "inputs": cert.inputs, "k_max": cert.k_max,
-                                   "provenance": cert.provenance},
-                   "refused": False}
-    envelope = ReportEnvelope(command="certify-bound", seed=seed, config=config,
-                              results=results, summary=summary)
-    _write(envelope, args)
-    return 1 if summary["refused"] else 0
+        results = [{"function": args.function, "refused": True, "reason": str(exc)}]
+        return config, results, {"refused": True, "reason": str(exc)}, 1
+    row = {"function": args.function, "field": args.field,
+           "kind": cert.region.kind, "delta": cert.region.delta,
+           "certified_bound": cert.certified_bound,
+           "C": cert.inputs["B_defect"] + 2.0 * cert.inputs["M_near2"],
+           "k_max": cert.k_max}
+    for key in sorted(cert.inputs):
+        row[key] = cert.inputs[key]
+    for key in sorted(cert.provenance):
+        row[f"provenance_{key}"] = cert.provenance[key]
+    summary = {"certificate": {"region": asdict(cert.region),
+                               "certified_bound": cert.certified_bound,
+                               "inputs": cert.inputs, "k_max": cert.k_max,
+                               "provenance": cert.provenance},
+               "refused": False}
+    return config, [row], summary, 0
 
 
-def _cmd_probe(args) -> int:
-    seed = _resolve_seed(args)
+def _cmd_probe(args, seed: int):
     config = _config_from_args(args, seed)
-    name = _resolve_invariant(args, config)
-    envelope = compactness_probe(name, config,
+    envelope = compactness_probe(_resolve_invariant(args, config), config,
                                  escape_hi=args.escape_hi, escape_lo=args.escape_lo)
-    _write(envelope, args)
-    return 0
+    return envelope.config, envelope.results, envelope.summary, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,11 +204,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        seed = args.seed if args.seed is not None else int(os.environ.get(SEED_ENV_VAR, 0))
+        config, results, summary, code = args.func(args, seed)
+        _write(ReportEnvelope(command=args.command, seed=seed, config=config,
+                              results=results, summary=summary), args)
+        return code
     except UnencodableReport as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 1

@@ -102,8 +102,10 @@ class FlatBoundary:
     __slots__ = ("flags", "basis")
 
     def __init__(self, flags, basis):
+        basis = np.array(basis, dtype=np.float64)
+        basis.flags.writeable = False
         object.__setattr__(self, "flags", tuple(flags))
-        object.__setattr__(self, "basis", np.asarray(basis, dtype=np.float64))
+        object.__setattr__(self, "basis", basis)
 
     def __setattr__(self, name, value):
         raise AttributeError("FlatBoundary is immutable")

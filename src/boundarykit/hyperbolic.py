@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import MixedModels, SignatureError
-from .projective import (EPS_DIST, ProjectivePoint, _normalize_pair, _require_distinct,
+from .projective import (EPS_DIST, ProjectivePoint, _normalize_pair, _require_distinct, _where,
                          coincident_pair, cross_ratio)
 
 RANK_TOL = 1e-10  # relative singular-value threshold for subspace detection
@@ -314,7 +314,7 @@ def _chart_pair(u):
     """Homogeneous chart pair (a, b) ~ a/b; coordinates along the first axis."""
     away = 1.0 - u[-1] >= 0.5  # far from the north pole
     plane, conj = (u[0], u[0]) if len(u) == 2 else (u[0] + 1j * u[1], u[0] - 1j * u[1])
-    return np.where(away, plane, 1.0 + u[-1]), np.where(away, 1.0 - u[-1], conj)
+    return _where(away, plane, 1.0 + u[-1]), _where(away, 1.0 - u[-1], conj)
 
 
 def chart_to_boundary(p: ProjectivePoint) -> RealBoundaryPoint:
@@ -358,7 +358,7 @@ class H3Embedding:
     __slots__ = ("matrix", "rank")
 
     def __init__(self, matrix, rank):
-        m = np.asarray(matrix, dtype=np.float64)
+        m = np.array(matrix, dtype=np.float64)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "rank", int(rank))

@@ -58,7 +58,8 @@ class SamplerConfig:
 
     `dim` is the hyperbolic dimension n: Sn samples the boundary sphere of
     H^n (unit directions in R^n) and complex_hyperbolic the boundary of
-    H^n_C.  S1 is shorthand for the circle (n = 2).
+    H^n_C.  S1 (the circle) and flags3 (flags in R^3) have no dimension to
+    choose: their dim is 2.
     """
 
     model: str
@@ -79,14 +80,13 @@ class SamplerConfig:
             raise ValueError("tuple_size must be at least 1")
         if self.model == "flags3" and self.tuple_size not in (2, 3):
             raise ValueError("flags3 genericity is defined for pairs and triples")
-        if self.model in ("Sn", "complex_hyperbolic") and self.dim < 2:
+        if self.model in ("S1", "flags3") and self.dim != 2:
+            raise ValueError(f"model {self.model!r} has no dimension to choose; dim must be 2")
+        if self.dim < 2:
             raise ValueError("dim must be at least 2")
 
     def echo(self) -> dict:
-        d = asdict(self)
-        if self.model == "S1":
-            d["dim"] = 2
-        return d
+        return asdict(self)
 
 
 class ResultColumns(Sequence):
@@ -180,7 +180,7 @@ def _sampler(config: SamplerConfig):
     if config.model == "flags3":
         return FlagTupleSampler(config.tuple_size, config.tolerance)
     model = ComplexTupleSampler if config.model == "complex_hyperbolic" else SphereTupleSampler
-    return model(2 if config.model == "S1" else config.dim, config.tuple_size, config.tolerance)
+    return model(config.dim, config.tuple_size, config.tolerance)
 
 
 def _accepted_batches(config: SamplerConfig):

@@ -168,6 +168,56 @@ def test_model_without_default_invariant_is_a_config_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("model", ["S1", "flags3"])
+def test_n_on_a_model_without_a_dimension_is_a_config_error(tmp_path, capsys, model):
+    out = tmp_path / "s.json"
+    code = main(["sample", "--model", model, "--n", "7", "--count", "5",
+                 "--out", str(out)] + COMMON)
+    assert code == 2
+    assert not out.exists()
+    assert "no dimension to choose" in capsys.readouterr().err
+
+
+def test_a_bad_env_seed_is_a_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("BOUNDARYKIT_SEED", "x")
+    out = tmp_path / "s.json"
+    assert main(["sample", "--count", "5", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_the_parser_is_built_once(tmp_path, monkeypatch):
+    from boundarykit import cli
+
+    def rebuilt():
+        raise AssertionError("build_parser ran again")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    code, out = run_to_file(tmp_path, "v.json", ["verify-cocycle", "--count", "50"] + COMMON)
+    assert code == 0
+    assert json.loads(out.read_text()) == {
+        "command": "verify-cocycle", "config": {"count": 50, "tolerance": 1e-07},
+        "results": [{"check": "vol2_coboundary", "passed": True, "samples": 50,
+                     "sup_abs": 0.0, "tolerance": 1e-07},
+                    {"check": "vol3_coboundary", "passed": True, "samples": 50,
+                     "sup_abs": 9.992007221626409e-16, "tolerance": 1e-07}],
+        "seed": 11,
+        "summary": {"all_passed": True, "max_sup_abs": 9.992007221626409e-16,
+                    "tolerance": 1e-07},
+        "version": boundarykit.__version__}
+    code, out = run_to_file(tmp_path, "c.json", ["certify-bound", "--function", "const",
+                                                 "--grid", "100"] + COMMON)
+    assert code == 0
+    data = json.loads(out.read_text())
+    assert data["config"] == {"delta": 0.1, "field": "complex", "function": "const",
+                              "grid": 100}
+    assert data["results"] == [{
+        "B_defect": 1.0, "C": 3.0, "M_base": 1.0, "M_near2": 1.0, "certified_bound": 7.0,
+        "delta": 0.1, "field": "complex", "function": "const", "k_max": 34,
+        "kind": "complex_sector", "provenance_B_defect": "empirical",
+        "provenance_M_base": "empirical", "provenance_M_near2": "empirical"}]
+
+
 def test_env_var_supplies_default_seed(tmp_path, monkeypatch):
     monkeypatch.setenv("BOUNDARYKIT_SEED", "11")
     code, via_env = run_to_file(tmp_path, "env.json",

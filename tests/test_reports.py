@@ -32,6 +32,14 @@ def test_config_validation():
         SamplerConfig(model="Sn", dim=1)
 
 
+@pytest.mark.parametrize("model", ["S1", "flags3"])
+def test_a_model_without_a_dimension_refuses_any_but_dim_2(model):
+    assert SamplerConfig(model=model).echo()["dim"] == 2
+    for dim in (1, 3, 7):
+        with pytest.raises(ValueError, match="no dimension to choose"):
+            SamplerConfig(model=model, dim=dim)
+
+
 def test_sample_is_deterministic():
     config = SamplerConfig(model="S1", tuple_size=3, count=50, seed=12)
     a = sample_tuples(config)
