@@ -52,7 +52,8 @@ class Cochain:
     arity: int
     evaluator: Callable[..., float]
     model_arity: int = 0
-    batch: Callable[[np.ndarray], np.ndarray] | None = None  # (m, arity, k) coords -> m values
+    # (m, n, k) coordinates of m tuples, (F, arity) columns of F faces -> (F, m) values
+    batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.arity < 0 or self.model_arity < 0:
@@ -95,9 +96,11 @@ def coboundary(f: Cochain) -> Cochain:
 
     batch = None
     if f.batch is not None and f.model_arity == 0:
-        def batch(points):  # the same signed sum, over slices of the tuple axis
-            return sum((-1) ** i * f.batch(np.delete(points, i, axis=1))
-                       for i in range(points.shape[1]))
+        def batch(points, faces):  # the same signed sum, one call on all sub-faces
+            q = faces.shape[1]
+            sub = faces[:, [[k for k in range(q) if k != i] for i in range(q)]]
+            values = f.batch(points, sub.reshape(-1, q - 1)).reshape(len(faces), q, len(points))
+            return sum((-1) ** i * values[:, i] for i in range(q))
 
     return Cochain(arity=f.arity + 1, evaluator=ev, model_arity=f.model_arity, batch=batch)
 
@@ -223,7 +226,8 @@ def empirical_sup_defect(f: Cochain, sampler, n: int, seed: int = 0) -> DefectRe
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     batches, points, _ = draw_batches(sampler, rng, n)
     if g.batch is not None and batches[0][1] is not None:
-        values = np.concatenate([g.batch(coords) for _, coords in batches])
+        whole = np.arange(g.arity)[None]  # the one face of the whole tuple
+        values = np.concatenate([g.batch(coords, whole)[0] for _, coords in batches])
     else:
         values = np.array([g(*points(row)) for rows, _ in batches for row in rows])
     bad = ~np.isfinite(values)

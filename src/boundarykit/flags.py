@@ -56,9 +56,13 @@ class Flag3:
     def __init__(self, line, plane):
         (e,), (phi,) = batch_normalize_flags(np.asarray(line, dtype=np.float64)[None],
                                              np.asarray(plane, dtype=np.float64)[None])
-        e.flags.writeable = phi.flags.writeable = False
-        object.__setattr__(self, "line", e)
-        object.__setattr__(self, "plane", phi)
+        self._hold(e, phi)
+
+    def _hold(self, line, plane) -> "Flag3":  # a row of batch_normalize_flags, read-only
+        line.flags.writeable = plane.flags.writeable = False
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "plane", plane)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Flag3 is immutable")
@@ -123,13 +127,12 @@ def flat_boundary(f1: Flag3, f2: Flag3, tol: float = PAIRING_TOL) -> FlatBoundar
     """Weyl-orbit flags of the maximal flat determined by an opposite pair."""
     if not is_opposite(f1, f2, tol):
         raise NotOpposite("flat boundaries are only defined for opposite flags")
-    u1 = f1.line
-    u3 = f2.line
     u2 = _sign_normalize_rows(np.cross(f1.plane, f2.plane)[None])[0]
-    basis = (u1, u2, u3)
-    flags = tuple(Flag3.from_basis(basis[a], basis[b])
-                  for a in range(3) for b in range(3) if a != b)
-    return FlatBoundary(flags, np.column_stack(basis))
+    basis = np.stack((f1.line, u2, f2.line))
+    a, b = np.array([(a, b) for a in range(3) for b in range(3) if a != b]).T
+    # the six Flag3.from_basis(basis[a], basis[b]) in one normalization
+    lines, planes = batch_normalize_flags(basis[a], np.cross(basis[a], basis[b]))
+    return FlatBoundary([Flag3.__new__(Flag3)._hold(*row) for row in zip(lines, planes)], basis.T)
 
 
 def is_generic_triple(f1: Flag3, f2: Flag3, f3: Flag3,

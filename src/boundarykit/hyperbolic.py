@@ -302,19 +302,25 @@ def boundary_to_chart(p: RealBoundaryPoint) -> ProjectivePoint:
     """
     if p.dim not in (2, 3):
         raise MixedModels(f"no projective chart in dimension {p.dim}")
-    return ProjectivePoint(*_chart_pair(p.direction), "real" if p.dim == 2 else "complex")
+    (ar, ai), (br, bi) = _chart_pair(p.direction)
+    a, b = (ar, br) if p.dim == 2 else (complex(ar, ai), complex(br, bi))
+    return ProjectivePoint(a, b, "real" if p.dim == 2 else "complex")
 
 
 def chart_coords(u) -> np.ndarray:
     """`boundary_to_chart(p).coords` for an (..., dim) array u of unit directions."""
-    return np.moveaxis(np.stack(_normalize_pair(*_chart_pair(np.moveaxis(u, -1, 0)))), 0, -1)
+    (ar, ai), (br, bi) = _normalize_pair(*_chart_pair(np.moveaxis(u, -1, 0)))
+    if u.shape[-1] == 2:
+        return np.stack([ar, br], axis=-1)
+    return np.stack([ar, ai, br, bi], axis=-1).view(np.complex128)
 
 
 def _chart_pair(u):
-    """Homogeneous chart pair (a, b) ~ a/b; coordinates along the first axis."""
+    """Homogeneous chart pair (a, b) ~ a/b as (re, im) planes; coordinates along the first axis."""
     away = 1.0 - u[-1] >= 0.5  # far from the north pole
-    plane, conj = (u[0], u[0]) if len(u) == 2 else (u[0] + 1j * u[1], u[0] - 1j * u[1])
-    return _where(away, plane, 1.0 + u[-1]), _where(away, 1.0 - u[-1], conj)
+    y, conj_y = (u[1], 0.0 - u[1]) if len(u) == 3 else (0.0, 0.0)  # Im(u0 - 1j*u1), +0.0 at 0
+    return ((_where(away, u[0], 1.0 + u[-1]), _where(away, y, 0.0)),
+            (_where(away, 1.0 - u[-1], u[0]), _where(away, 0.0, conj_y)))
 
 
 def chart_to_boundary(p: ProjectivePoint) -> RealBoundaryPoint:

@@ -28,18 +28,19 @@ def is_infinite(value) -> bool:
 
 
 def _mul(x, y):
-    """x * y for two scalars or two arrays of one field.  Python's and numpy's
-    scalar complex products round as this real arithmetic does; numpy's complex
-    array loop rounds some products otherwise."""
-    if isinstance(x, np.ndarray) and x.dtype.kind == "c":
-        return (x.real * y.real - x.imag * y.imag) + 1j * (x.real * y.imag + x.imag * y.real)
+    """x * y of two scalars, or of two complex values held as (re, im) planes.
+    Python's and numpy's scalar complex products round as this real arithmetic
+    does; numpy's complex array loop rounds some products otherwise."""
+    if isinstance(x, tuple):
+        (xr, xi), (yr, yi) = x, y
+        return xr * yr - xi * yi, xr * yi + xi * yr
     return x * y
 
 
-def _modulus(z):
-    """np.hypot(Re z, Im z).  abs() of a scalar is the same libm hypot, without
-    a numpy call's microsecond; numpy's abs of a complex array rounds otherwise."""
-    return np.hypot(z.real, z.imag) if isinstance(z, np.ndarray) else abs(z)
+def _modulus(re, im):
+    """np.hypot(re, im).  On floats, abs() of a Python complex is the same libm
+    hypot, without a numpy call's microsecond."""
+    return np.hypot(re, im) if isinstance(re, np.ndarray) else abs(complex(re, im))
 
 
 def _where(cond, x, y):
@@ -53,18 +54,21 @@ def _all(mask):
 
 
 def _normalize_pair(a, b):
-    """Unit-normalize homogeneous pairs (a, b), scalars or arrays, and fix a
-    deterministic phase: the first coordinate p of largest modulus is made
-    positive real by the factor conj(p) / |p|, so each projective point has
-    exactly one representative.
+    """Unit-normalize homogeneous pairs (a, b), each the (re, im) planes of
+    scalars or arrays, and fix a deterministic phase: the first coordinate p
+    of largest modulus is made positive real by the factor conj(p) / |p|, so
+    each projective point has exactly one representative.  Returns planes.
     """
-    norm = np.sqrt(a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag)
+    (ar, ai), (br, bi) = a, b
+    norm = np.sqrt(ar * ar + ai * ai + br * br + bi * bi)
     if not _all((norm > 0.0) & (norm < math.inf)):
         raise ValueError("homogeneous pair must be finite and nonzero")
-    a, b = a * (1.0 / norm), b * (1.0 / norm)  # numpy's complex / norm, as Python's is not
-    modulus_a, modulus_b = _modulus(a), _modulus(b)
+    scale = 1.0 / norm  # one reciprocal, then products
+    a, b = (ar * scale, ai * scale), (br * scale, bi * scale)
+    modulus_a, modulus_b = _modulus(*a), _modulus(*b)
     lead = modulus_b > modulus_a
-    phase = _where(lead, b, a).conjugate() * (1.0 / _where(lead, modulus_b, modulus_a))
+    scale = 1.0 / _where(lead, modulus_b, modulus_a)
+    phase = _where(lead, b[0], a[0]) * scale, -_where(lead, b[1], a[1]) * scale
     return _mul(a, phase), _mul(b, phase)
 
 
@@ -77,7 +81,8 @@ class ProjectivePoint:
         if field_tag not in ("real", "complex"):
             raise ValueError(f"unknown field tag {field_tag!r}")
         scalar = float if field_tag == "real" else complex
-        coords = np.array(_normalize_pair(scalar(a), scalar(b)))
+        (ar, ai), (br, bi) = _normalize_pair(*((z.real, z.imag) for z in map(scalar, (a, b))))
+        coords = np.array([ar, br] if field_tag == "real" else [complex(ar, ai), complex(br, bi)])
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "field_tag", field_tag)
@@ -110,7 +115,7 @@ class ProjectivePoint:
 
     def chordal_distance(self, other: "ProjectivePoint") -> float:
         """|det| of the two unit representatives; scale- and chart-free."""
-        return _modulus(_det(self.coords.tolist(), other.coords.tolist()))
+        return abs(_det(self.coords.tolist(), other.coords.tolist()))
 
     def __eq__(self, other):
         if not isinstance(other, ProjectivePoint):
@@ -155,40 +160,60 @@ def _distinct_rows(batch, tol, distance):
     return ok
 
 
-def _require_distinct_rows(batch, tol, distance):
-    """_require_distinct for each tuple of an (m, size, k) batch: the refusal
-    names the first failing tuple and its first close pair."""
-    ok = _distinct_rows(batch, tol, distance)
+def _require_apart(pairs, ok, tol):
+    """_require_distinct for a batch, from the (P, m) mask `ok` of the pairs
+    (i, j) of `pairs` that are apart in each tuple: the refusal names the
+    first failing tuple and its first close pair in the order of `pairs`."""
     if not ok.all():
-        k = int(np.argmin(ok))
-        i, j = next(pair for pair in itertools.combinations(range(batch.shape[1]), 2)
-                    if not _distinct_rows(batch[k:k + 1, pair], tol, distance)[0])
+        k = int(np.argmin(ok.all(axis=0)))
+        i, j = pairs[int(np.argmin(ok[:, k]))]
         raise DegenerateTuple(f"points {i} and {j} of tuple {k} coincide within tolerance {tol:g}")
 
 
+def _face_pairs(faces):
+    """The pairs (i, j), i < j, of columns that faces, rows of an integer array, hold, in order."""
+    return sorted({tuple(sorted(pair)) for face in faces.tolist()
+                   for pair in itertools.combinations(face, 2)})
+
+
 def _det(p, q):
-    """a_p b_q - a_q b_p of homogeneous pairs; coordinates along the first axis.
-    Exactly antisymmetric, and the same bits on scalars and on arrays."""
+    """a_p b_q - a_q b_p of homogeneous pairs of scalars, real arrays or (re, im)
+    planes.  Exactly antisymmetric, and the same bits on scalars and arrays."""
     (a, b), (c, d) = p, q
-    if not (isinstance(a, np.ndarray) and a.dtype.kind == "c"):
+    if not isinstance(a, tuple):
         return a * d - c * b
-    det = np.empty(a.shape, np.complex128)  # _mul's products, with one complex result
-    det.real = (a.real * d.real - a.imag * d.imag) - (c.real * b.real - c.imag * b.imag)
-    det.imag = (a.real * d.imag + a.imag * d.real) - (c.real * b.imag + c.imag * b.real)
-    return det
+    (adr, adi), (cbr, cbi) = _mul(a, d), _mul(c, b)
+    return adr - cbr, adi - cbi
 
 
-def pair_chordal_distance(p, q):
-    """`ProjectivePoint.chordal_distance` row by row, for (m, 2) arrays of unit pairs."""
-    return _modulus(_det(p.T, q.T))
+_TERMS = [(0, 2), (1, 3), (0, 3), (1, 2)]  # the pairs of a cross ratio's numerator and denominator
 
 
-def _cross_ratio_terms(c):
-    """Numerator and denominator of the cross ratio of four homogeneous pairs c,
-    and the determinants of all six pairs, whose moduli are their chordal distances."""
-    c0, c1, c2, c3 = c
-    d02, d13, d03, d12 = _det(c0, c2), _det(c1, c3), _det(c0, c3), _det(c1, c2)
-    return _mul(d02, d13), _mul(d03, d12), (_det(c0, c1), d02, d03, d12, d13, _det(c2, c3))
+def _cross_ratio_terms(d02, d13, d03, d12):
+    """Numerator and denominator of a cross ratio from the determinants of its _TERMS."""
+    return _mul(d02, d13), _mul(d03, d12)
+
+
+def _face_cross_ratios(coords, faces):
+    """(z, pairs, distances): the (F, m) cross ratios of the faces, rows of four
+    columns, of an (m, n, 2) array of unit pairs; the pairs the faces hold and
+    their (P, m) chordal distances.  Each determinant is taken once, on real
+    planes; a face holding a pair out of order reads its exact negative."""
+    pairs = _face_pairs(faces)
+    ends = np.moveaxis(faces[:, _TERMS], 1, 0).tolist()  # (4, F, 2)
+    index = [[pairs.index(tuple(sorted(pair))) for pair in term] for term in ends]
+    sign = np.array([[1.0 if i < j else -1.0 for i, j in term] for term in ends])[..., None]
+    planes = np.asarray(coords, np.complex128).view(np.float64).transpose(1, 2, 0)
+    planes = np.ascontiguousarray(planes)  # (n, 4, m): Re a, Im a, Re b, Im b
+    re, im = table = np.empty((2, len(pairs), planes.shape[-1]))
+    for k, (i, j) in enumerate(pairs):  # on views: gathered rows would cost more than they save
+        (ar, ai, br, bi), (cr, ci, dr, di) = planes[i], planes[j]
+        table[:, k] = _det(((ar, ai), (br, bi)), ((cr, ci), (dr, di)))
+    num, den = _cross_ratio_terms(*zip(re[index] * sign, im[index] * sign))
+    # real pairs divide as reals: numpy's complex division rounds otherwise
+    num, den = (np.stack(t, axis=-1).view(np.complex128)[..., 0] if coords.dtype.kind == "c"
+                else t[0] for t in (num, den))
+    return num / den, pairs, _modulus(re, im)
 
 
 def cross_ratio(x0: ProjectivePoint, x1: ProjectivePoint,
@@ -203,8 +228,10 @@ def cross_ratio(x0: ProjectivePoint, x1: ProjectivePoint,
 
 
 def _cross_ratio(points, tol):
-    num, den, dets = _cross_ratio_terms([x.coords.tolist() for x in points])
-    if min(map(abs, dets)) <= tol:  # abs is _modulus on scalars: the chordal distances
+    c = [x.coords.tolist() for x in points]
+    dets = {(i, j): _det(c[i], c[j]) for i, j in itertools.combinations(range(4), 2)}
+    num, den = _cross_ratio_terms(*(dets[pair] for pair in _TERMS))
+    if min(map(abs, dets.values())) <= tol:  # the chordal distances
         _require_distinct(points, tol)  # names the first close pair
     if abs(den) == 0.0:
         return INFINITY

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import DegenerateTuple, MixedModels
 from .hyperbolic import RealBoundaryPoint, boundary_to_chart, real_chordal_distance
-from .projective import (EPS_DIST, ProjectivePoint, _cross_ratio, _cross_ratio_terms, _modulus,
-                         _require_distinct, _require_distinct_rows, pair_chordal_distance)
+from .projective import (EPS_DIST, ProjectivePoint, _cross_ratio, _face_cross_ratios, _face_pairs,
+                         _require_apart, _require_distinct)
 
 # zeta(2n) for the accelerated expansion; exact powers of pi for the first
 # three, rapidly converging direct sums beyond
@@ -63,12 +63,13 @@ def lobachevsky_batch(theta: np.ndarray) -> np.ndarray:
 def _lobachevsky_series(x):
     """L(x) for |x| <= pi/2, on a float or an array, from the expansion
     L(x) = x - x log|2x| + x sum_{n>=1} zeta(2n)/(n(2n+1)) (x/pi)^{2n},
-    which converges geometrically there, summed by Horner's rule."""
+    which converges geometrically there, summed by Horner's rule in place."""
     q = x / math.pi
     r = q * q
-    series = 0.0
-    for c in _COEFF:
-        series = (series + c) * r
+    series = _COEFF[0] * r
+    for c in _COEFF[1:]:
+        series += c
+        series *= r
     # L(0) = 0: every term carries a factor x, so log(1) stands in for log(0)
     return x - x * np.log(abs(2.0 * x) + (x == 0.0)) + x * series
 
@@ -94,12 +95,20 @@ def vol2(x: RealBoundaryPoint, y: RealBoundaryPoint, z: RealBoundaryPoint,
     return math.pi if circle_orientation(x.direction, y.direction, z.direction) > 0 else -math.pi
 
 
-def vol2_batch(points: np.ndarray, tol: float = EPS_DIST) -> np.ndarray:
-    """`vol2` over an (m, 3, 2) array of circle directions, one triple per row."""
+def vol2_batch(points: np.ndarray, faces: np.ndarray | None = None,
+               tol: float = EPS_DIST) -> np.ndarray:
+    """`vol2` over an (m, 3, 2) array of circle directions, one triple per row;
+    or, given an (F, 3) integer array `faces` of columns of an (m, n, 2) array,
+    (F, m) values, one row per face, each pair of columns tested once."""
     if points.shape[-1] != 2:
         raise MixedModels("vol2 expects points on the circle (dim 2)")
-    _require_distinct_rows(points, tol, real_chordal_distance)
-    turn = circle_orientation(*points.transpose(1, 2, 0))
+    if faces is None:
+        return vol2_batch(points, np.arange(3)[None], tol)[0]
+    pairs = _face_pairs(faces)
+    _require_apart(pairs, np.array([real_chordal_distance(points[:, i], points[:, j]) > tol
+                                    for i, j in pairs]), tol)
+    turn = np.array([circle_orientation(*(points[:, c].T for c in face))
+                     for face in faces.tolist()])
     return np.where(turn > 0, math.pi, -math.pi)
 
 
@@ -151,13 +160,16 @@ def vol3(x0, x1, x2, x3, tol: float = EPS_DIST) -> float:
     return vol3_from_cross_ratio(_cross_ratio(points, tol))
 
 
-def vol3_batch(points: np.ndarray, tol: float = EPS_DIST) -> np.ndarray:
-    """`vol3` over an (m, 4, 2) array of ProjectivePoint coords in the P^1(C) chart."""
-    # contiguous coordinates: real arithmetic on them runs about twice as fast
-    num, den, dets = _cross_ratio_terms(np.ascontiguousarray(points.transpose(1, 2, 0)))
-    if not all((_modulus(d) > tol).all() for d in dets):  # the chordal distances
-        _require_distinct_rows(points, tol, pair_chordal_distance)  # names the first close pair
-    return vol3_from_cross_ratio_batch(num / den)
+def vol3_batch(points: np.ndarray, faces: np.ndarray | None = None,
+               tol: float = EPS_DIST) -> np.ndarray:
+    """`vol3` over an (m, 4, 2) array of P^1(C) chart coordinates, one tuple per
+    row; or, given an (F, 4) integer array `faces` of columns of an (m, n, 2)
+    array, (F, m) values, one row per face, from one table of pair determinants."""
+    if faces is None:
+        return vol3_batch(points, np.arange(4)[None], tol)[0]
+    z, pairs, distances = _face_cross_ratios(points, faces)
+    _require_apart(pairs, distances > tol, tol)
+    return vol3_from_cross_ratio_batch(z)
 
 
 MAX_VOL3 = 3 * lobachevsky(math.pi / 3)  # volume of the regular ideal tetrahedron

@@ -8,7 +8,7 @@ from boundarykit import (ArityTooLarge, Cochain, DegenerateTuple, EvaluationErro
 from boundarykit.hyperbolic import (apply_isometry, boundary_to_chart, is_generic_tuple,
                                     random_lorentz_isometry)
 from boundarykit.sampling import rejection_loop
-from boundarykit.volume import vol2_batch, vol3_batch
+from boundarykit.volume import _lobachevsky_series, vol2_batch, vol3_batch
 from boundarykit.sampling import (SphereTupleSampler, chart_tuple_sampler,
                                   circle_tuple_sampler, coordinate_cochain, draw_tuples,
                                   random_boundary_point,
@@ -251,6 +251,17 @@ def batch_draws(sampler, seed, n):
     return np.concatenate(normals), np.concatenate(coords), draws
 
 
+def whole(g, coords):
+    """g.batch on the one face of the whole tuple: the m values."""
+    return g.batch(coords, np.arange(g.arity)[None])[0]
+
+
+def on_faces(kernel):
+    """A batch evaluator from `kernel(t)`, where t[c, s], an (F, m) array, is
+    coordinate c of slot s of each face's tuples."""
+    return lambda points, faces: kernel(points[:, faces].T)
+
+
 def coordinates(points):
     return [p.coords if hasattr(p, "coords") else p.direction for p in points]
 
@@ -289,13 +300,13 @@ def test_batched_coboundaries_match_the_scalar_ones(seed):
         coords = batch_draws(sampler, seed, 300)[1]
         df = coboundary(f)
         scalar = np.array([df(*t) for t in tuples])
-        assert np.max(np.abs(df.batch(coords) - scalar)) <= tol
+        assert np.max(np.abs(whole(df, coords) - scalar)) <= tol
         per_tuple = empirical_sup_defect(Cochain(f.arity, f.evaluator), sampler, 300, seed)
         batched = empirical_sup_defect(f, sampler, 300, seed)
         assert batched.samples == per_tuple.samples == 300
         assert abs(batched.sup_abs - per_tuple.sup_abs) <= tol
         assert (batched.sup_abs <= 1e-7) == (per_tuple.sup_abs <= 1e-7)
-        assert batched.sup_abs == abs(df.batch(coords)).max()
+        assert batched.sup_abs == abs(whole(df, coords)).max()
         assert abs(df(*batched.argmax_tuple)) == pytest.approx(batched.sup_abs, abs=tol)
 
 
@@ -303,12 +314,12 @@ def test_batched_coboundary_of_a_non_cocycle_is_the_scalar_one():
     f = Cochain(arity=2,
                 evaluator=lambda x, y: (x.direction[0] - 2.0 * y.direction[1]
                                         + x.direction[1] * y.direction[0]),
-                batch=lambda p: p[:, 0, 0] - 2.0 * p[:, 1, 1] + p[:, 0, 1] * p[:, 1, 0])
+                batch=on_faces(lambda t: t[0, 0] - 2.0 * t[1, 1] + t[1, 0] * t[0, 1]))
     df = coboundary(f)
     tuples = draw_tuples(circle_tuple_sampler(3), np.random.default_rng(8), 200)
     expected = [df(*t) for t in tuples]
     assert max(map(abs, expected)) > 0.5
-    assert df.batch(np.array([coordinates(t) for t in tuples])).tolist() == expected
+    assert whole(df, np.array([coordinates(t) for t in tuples])).tolist() == expected
 
 
 def test_batch_witness_is_the_first_maximizing_tuple():
@@ -321,11 +332,11 @@ def test_batch_witness_is_the_first_maximizing_tuple():
 
 def test_the_witness_is_found_in_a_later_batch_on_every_path():
     f = Cochain(arity=3, evaluator=lambda x, y, z: x.direction[0] * y.direction[1] - z.direction[0],
-                batch=lambda p: p[:, 0, 0] * p[:, 1, 1] - p[:, 2, 0])
+                batch=on_faces(lambda t: t[0, 0] * t[1, 1] - t[0, 2]))
     sampler = SAMPLERS["circle-rejecting"]  # accepts about 8% of draws: many batches
     first_batch = len(sampler.draw(np.random.default_rng(7), 100)[0])
     tuples = draw_tuples(one_point_at_a_time(sampler), np.random.default_rng(7), 100)
-    values = np.abs(coboundary(f).batch(np.array([coordinates(t) for t in tuples])))
+    values = np.abs(whole(coboundary(f), np.array([coordinates(t) for t in tuples])))
     witness = int(np.argmax(values))
     assert witness >= first_batch
     for cochain, tuple_sampler in ((f, sampler), (Cochain(3, f.evaluator), sampler),
@@ -336,15 +347,17 @@ def test_the_witness_is_found_in_a_later_batch_on_every_path():
 
 
 def test_batch_vol3_refuses_chart_coincident_points():
-    p, q, r, s = (np.array(cp.coords) for cp in draw_tuples(
-        chart_tuple_sampler(4), np.random.default_rng(5), 1)[0])
-    good = np.stack([p, q, r, s])
-    bad = np.stack([p, q, q * np.exp(0.3j), s])  # one projective point, twice
+    p, q, r, s, t = (np.array(cp.coords) for cp in draw_tuples(
+        chart_tuple_sampler(5), np.random.default_rng(5), 1)[0])
+    good = np.stack([p, q, r, s, t])
+    bad = np.stack([p, q, q * np.exp(0.3j), s, t])  # one projective point, twice
     with pytest.raises(DegenerateTuple, match="points 1 and 2 of tuple 1 coincide"):
-        vol3_batch(np.stack([good, bad]))
-    five = np.stack([good, bad])[:, [0, 1, 2, 3, 3]]  # through the coboundary
-    with pytest.raises(DegenerateTuple):
-        coboundary(VOL3).batch(five)
+        vol3_batch(np.stack([good, bad])[:, :4])
+    # through the coboundary, numbered in the five-tuple's own columns
+    with pytest.raises(DegenerateTuple, match="points 1 and 2 of tuple 1 coincide"):
+        whole(coboundary(VOL3), np.stack([good, bad]))
+    with pytest.raises(DegenerateTuple, match="points 3 and 4 of tuple 0 coincide"):
+        whole(coboundary(VOL3), np.stack([good, bad])[:, [0, 1, 2, 3, 3]])
 
 
 def test_batch_vol2_refuses_points_off_the_circle():
@@ -387,7 +400,7 @@ def test_a_cochain_without_batch_draws_one_batch_and_evaluates_tuple_by_tuple():
 def test_a_non_finite_coboundary_value_is_refused_at_its_sample(bad):
     # bad wherever the first point is near (1, 0), 0 elsewhere
     f = Cochain(arity=3, evaluator=lambda x, y, z: bad if x.direction[0] > 0.999 else 0.0,
-                batch=lambda p: np.where(p[:, 0, 0] > 0.999, bad, 0.0))
+                batch=on_faces(lambda t: np.where(t[0, 0] > 0.999, bad, 0.0)))
     sampler = SAMPLERS["circle"]
     df = coboundary(f)
     values = [df(*t) for t in draw_tuples(sampler, np.random.default_rng(11), 400)]
@@ -398,3 +411,44 @@ def test_a_non_finite_coboundary_value_is_refused_at_its_sample(bad):
         empirical_sup_defect(f, sampler, 400, seed=11)  # inf - inf is NaN
     with pytest.raises(EvaluationError, match=message):
         empirical_sup_defect(Cochain(3, f.evaluator), sampler, 400, seed=11)
+
+
+@pytest.mark.parametrize("seed", [1, 6, 77, 12345])
+def test_the_pair_table_coboundary_is_the_per_face_sum_bit_for_bit(seed):
+    for f, one_face, sampler in ((VOL2, vol2_batch, circle_tuple_sampler(4)),
+                                 (VOL3, vol3_batch, chart_tuple_sampler(5))):
+        coords = batch_draws(sampler, seed, 1000)[1]
+        # the signed sum over np.delete copies of the tuple axis, one call per face
+        oracle = sum((-1) ** i * one_face(np.delete(coords, i, axis=1))
+                     for i in range(coords.shape[1]))
+        assert np.array_equal(whole(coboundary(f), coords), oracle)
+
+
+def test_the_batched_coboundary_of_a_coboundary_is_the_scalar_one():
+    f = Cochain(arity=3,
+                evaluator=lambda x, y, z: (x.direction[0] * y.direction[1] - 2.0 * z.direction[0]
+                                           + y.direction[0] * z.direction[1]),
+                batch=on_faces(lambda t: t[0, 0] * t[1, 1] - 2.0 * t[0, 2] + t[0, 1] * t[1, 2]))
+    ddf = coboundary(coboundary(f))
+    tuples = draw_tuples(circle_tuple_sampler(5), np.random.default_rng(9), 300)
+    expected = [ddf(*t) for t in tuples]
+    assert whole(ddf, np.array([coordinates(t) for t in tuples])).tolist() == expected
+
+
+def test_vol3_on_permuted_faces_is_vol3_batch_on_the_gathered_tuples():
+    coords = batch_draws(chart_tuple_sampler(6), 3, 500)[1]
+    rng = np.random.default_rng(3)
+    faces = np.array([rng.permutation(6)[:4] for _ in range(12)])
+    expected = np.stack([vol3_batch(coords[:, face]) for face in faces])
+    assert np.array_equal(vol3_batch(coords, faces), expected)
+
+
+@pytest.mark.parametrize("x", [np.linspace(-np.pi / 2, np.pi / 2, 9), np.array(0.7), 0.7])
+def test_the_lobachevsky_series_never_writes_its_argument(x):
+    before = np.copy(x)
+    value = _lobachevsky_series(x)
+    assert np.array_equal(x, before) and value is not x
+    assert np.array_equal(value, [_lobachevsky_series(float(t)) for t in np.ravel(x)]
+                          if np.ndim(x) else _lobachevsky_series(float(x)))
+    edges = np.array([0.0, np.pi / 2, -np.pi / 2])
+    assert _lobachevsky_series(edges).tolist() == [_lobachevsky_series(t) for t in edges.tolist()]

@@ -109,6 +109,21 @@ def test_flat_boundary_equivariance():
         assert same_flag_set(moved, direct, tol=1e-9)
 
 
+def test_flat_boundary_flags_are_the_one_flag_calls_bit_for_bit():
+    rng = np.random.default_rng(45)
+    for _ in range(30):
+        f, g = random_flag(rng), random_flag(rng)
+        if not is_opposite(f, g):
+            continue
+        fb = flat_boundary(f, g)
+        basis = fb.basis.T  # u1, u2, u3
+        pairs = [(a, b) for a in range(3) for b in range(3) if a != b]
+        for flag, (a, b) in zip(fb.flags, pairs):
+            one = Flag3.from_basis(basis[a], basis[b])
+            assert np.array_equal(flag.line, one.line) and np.array_equal(flag.plane, one.plane)
+            assert not (flag.line.flags.writeable or flag.plane.flags.writeable)
+
+
 def test_flat_boundary_requires_opposition():
     with pytest.raises(NotOpposite):
         flat_boundary(F_12, F_12)

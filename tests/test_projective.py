@@ -10,7 +10,7 @@ from boundarykit import (DegenerateTuple, MoebiusMap, ProjectivePoint,
                          is_infinite, normalize_to_standard)
 from boundarykit import projective
 from boundarykit.hyperbolic import chart_coords
-from boundarykit.projective import _cross_ratio_terms, coincident_pair, pair_chordal_distance
+from boundarykit.projective import _face_cross_ratios, coincident_pair
 from boundarykit.sampling import SphereTupleSampler
 
 INF_R = ProjectivePoint.infinity("real")
@@ -150,13 +150,18 @@ def test_equal_points_hash_alike_whatever_the_sign_of_a_zero(field):
         assert len({p, q}) == 1
 
 
+def pair_distance(coords, i, j):
+    """The chordal distance of columns i and j of each tuple, from the pair table."""
+    return _face_cross_ratios(coords[:, [i, j, i, j]], np.array([[0, 1, 2, 3]]))[2][0]
+
+
 def test_pair_distances_equal_the_point_distances_bit_for_bit():
     rng = np.random.default_rng(31)
     values = rng.standard_normal((2, 3000)) + 1j * rng.standard_normal((2, 3000))
     values[1, :1000] = values[0, :1000] * (1 + 1e-9 * rng.standard_normal(1000))  # near pairs
     p = [cp(v) for v in values[0]]
     q = [cp(v) for v in values[1]]
-    batch = pair_chordal_distance(np.array([x.coords for x in p]), np.array([y.coords for y in q]))
+    batch = pair_distance(np.array([[x.coords, y.coords] for x, y in zip(p, q)]), 0, 1)
     assert batch.tolist() == [float(x.chordal_distance(y)) for x, y in zip(p, q)]
 
 
@@ -191,9 +196,8 @@ def chart_tuples(close, m=2000):
 
 
 def batch_cross_ratios(coords, order=(0, 1, 2, 3)):
-    """[x_order[0], ..., x_order[3]] of each tuple, from `_cross_ratio_terms`."""
-    num, den, _ = _cross_ratio_terms([coords[:, k].T for k in order])
-    return num / den
+    """[x_order[0], ..., x_order[3]] of each tuple, from the pair table."""
+    return _face_cross_ratios(coords, np.array([order]))[0][0]
 
 
 def rounding(coords):
@@ -201,8 +205,7 @@ def rounding(coords):
     of unit pairs at distance d is off by about eps absolutely, eps/d relatively,
     so a cross ratio, made of four of them, by at most this relatively."""
     eps = np.finfo(float).eps
-    return eps * sum(1.0 / pair_chordal_distance(coords[:, i], coords[:, j])
-                     for i, j in itertools.combinations(range(4), 2))
+    return eps * sum(1.0 / _face_cross_ratios(coords, np.array([[0, 1, 2, 3]]))[2])
 
 
 @pytest.mark.parametrize("close", CLOSE.values(), ids=CLOSE.keys())
@@ -234,7 +237,7 @@ def test_real_points_keep_float_coordinates_and_the_batch_bits():
     assert np.array_equal(np.array([[p.coords for p in row] for row in points]), coords)
     assert [cross_ratio(*row) for row in points] == batch_cross_ratios(coords).tolist()
     assert ([row[0].chordal_distance(row[1]) for row in points]
-            == pair_chordal_distance(coords[:, 0], coords[:, 1]).tolist())
+            == pair_distance(coords, 0, 1).tolist())
 
 
 @pytest.mark.parametrize("close", CLOSE.values(), ids=CLOSE.keys())
