@@ -65,10 +65,8 @@ def _write(envelope: ReportEnvelope, args) -> None:
 # its exit code, and does no I/O; `main` wraps them in the one envelope.
 
 def _config_from_args(args, seed: int) -> SamplerConfig:
-    model = args.model
-    dim = args.n if args.n is not None else (3 if model == "complex_hyperbolic" else 2)
-    return SamplerConfig(model=model, tuple_size=args.size, count=args.count,
-                         seed=seed, tolerance=args.tol, dim=dim)
+    return SamplerConfig(model=args.model, tuple_size=args.size, count=args.count,
+                         seed=seed, tolerance=args.tol, dim=args.n)
 
 
 def _cmd_sample(args, seed: int):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotGeneric, NotOpposite
+from .projective import Value
 
 PAIRING_TOL = 1e-9  # transversality tolerance on unit-normalized pairings
 
@@ -47,7 +48,7 @@ def batch_normalize_flags(lines, planes):
     return e, _sign_normalize_rows(phi)
 
 
-class Flag3:
+class Flag3(Value):
     """A full flag in R^3: a sign-normalized unit line vector inside the
     kernel of a sign-normalized unit covector."""
 
@@ -57,15 +58,6 @@ class Flag3:
         (e,), (phi,) = batch_normalize_flags(np.asarray(line, dtype=np.float64)[None],
                                              np.asarray(plane, dtype=np.float64)[None])
         self._hold(e, phi)
-
-    def _hold(self, line, plane) -> "Flag3":  # a row of batch_normalize_flags, read-only
-        line.flags.writeable = plane.flags.writeable = False
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "plane", plane)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Flag3 is immutable")
 
     @classmethod
     def from_basis(cls, u, v) -> "Flag3":
@@ -88,13 +80,14 @@ class Flag3:
                 and np.array_equal(self.plane, other.plane))
 
     def __hash__(self):
-        return hash((self.line.tobytes(), self.plane.tobytes()))
+        # -0.0 + 0.0 is 0.0, so flags equal under == hash alike
+        return hash(((self.line + 0.0).tobytes(), (self.plane + 0.0).tobytes()))
 
     def __repr__(self):
         return f"Flag3(line={self.line.tolist()}, plane={self.plane.tolist()})"
 
 
-class FlatBoundary:
+class FlatBoundary(Value):
     """The six coordinate flags of the maximal flat of an opposite pair.
 
     `basis` is the adapted basis (u1, u2, u3): u1 on the first flag's line,
@@ -106,13 +99,7 @@ class FlatBoundary:
     __slots__ = ("flags", "basis")
 
     def __init__(self, flags, basis):
-        basis = np.array(basis, dtype=np.float64)
-        basis.flags.writeable = False
-        object.__setattr__(self, "flags", tuple(flags))
-        object.__setattr__(self, "basis", basis)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FlatBoundary is immutable")
+        self._hold(tuple(flags), np.array(basis, dtype=np.float64))  # copied: _hold freezes it
 
     def __repr__(self):
         return f"FlatBoundary({len(self.flags)} flags)"

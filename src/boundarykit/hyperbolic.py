@@ -21,8 +21,8 @@ import math
 import numpy as np
 
 from .errors import MixedModels, SignatureError
-from .projective import (EPS_DIST, ProjectivePoint, _normalize_pair, _require_distinct, _where,
-                         coincident_pair, cross_ratio)
+from .projective import (EPS_DIST, ProjectivePoint, Value, _normalize_pair, _require_distinct,
+                         _where, coincident_pair, cross_ratio)
 
 RANK_TOL = 1e-10  # relative singular-value threshold for subspace detection
 
@@ -31,7 +31,7 @@ RANK_TOL = 1e-10  # relative singular-value threshold for subspace detection
 # point types
 
 
-class RealBoundaryPoint:
+class RealBoundaryPoint(Value):
     """An ideal point of the boundary sphere of H^n, n >= 2."""
 
     __slots__ = ("direction",)
@@ -43,12 +43,7 @@ class RealBoundaryPoint:
         norm = float(np.linalg.norm(d))
         if not (norm > 0.0) or not math.isfinite(norm):
             raise ValueError("direction must be finite and nonzero")
-        d = d / norm
-        d.flags.writeable = False
-        object.__setattr__(self, "direction", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RealBoundaryPoint is immutable")
+        self._hold(d / norm)
 
     @property
     def dim(self) -> int:
@@ -66,7 +61,7 @@ class RealBoundaryPoint:
         return f"RealBoundaryPoint({self.direction.tolist()})"
 
 
-class ComplexBoundaryPoint:
+class ComplexBoundaryPoint(Value):
     """An ideal point of the boundary of complex hyperbolic space H^n_C.
 
     Stored as its row of `canonical_lifts`, a null lift in C^{n+1} of unit
@@ -84,11 +79,7 @@ class ComplexBoundaryPoint:
             raise ValueError("lift is not null for the form diag(1,...,1,-1)")
         if abs(z[-1]) < 1e-12:
             raise ValueError("null line meets the hyperplane at infinity")
-        z.flags.writeable = False
-        object.__setattr__(self, "lift", z)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplexBoundaryPoint is immutable")
+        self._hold(z)
 
     @classmethod
     def from_ball_direction(cls, w) -> "ComplexBoundaryPoint":
@@ -128,7 +119,7 @@ def ball_lifts(w) -> np.ndarray:
     return np.concatenate([w, np.ones(w.shape[:-1] + (1,))], axis=-1) / math.sqrt(2.0)
 
 
-class HyperbolicPoint:
+class HyperbolicPoint(Value):
     """A point of H^n in the hyperboloid model: q(lift) = -1, last coord > 0.
 
     Timelike lifts are rescaled onto the hyperboloid; non-timelike input is
@@ -145,12 +136,7 @@ class HyperbolicPoint:
             raise ValueError(f"lift has q(p) = {q:.3e}, not timelike")
         if p[-1] <= 0.0:
             raise ValueError("lift must be future-pointing (last coordinate > 0)")
-        p = p / math.sqrt(-q)
-        p.flags.writeable = False
-        object.__setattr__(self, "lift", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HyperbolicPoint is immutable")
+        self._hold(p / math.sqrt(-q))
 
     @property
     def dim(self) -> int:
@@ -354,7 +340,7 @@ def hyperboloid_to_halfplane(p: HyperbolicPoint) -> complex:
 # reduction of 4-tuples to the boundary of H^3
 
 
-class H3Embedding:
+class H3Embedding(Value):
     """Isometric identification of the span of four null lifts with R^{3,1}.
 
     `matrix` maps ambient lifts (length n+1) to R^4 coordinates for the form
@@ -364,13 +350,7 @@ class H3Embedding:
     __slots__ = ("matrix", "rank")
 
     def __init__(self, matrix, rank):
-        m = np.array(matrix, dtype=np.float64)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "rank", int(rank))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("H3Embedding is immutable")
+        self._hold(np.array(matrix, dtype=np.float64), int(rank))  # copied: _hold freezes it
 
     def map_lift(self, lift) -> np.ndarray:
         return self.matrix @ np.asarray(lift, dtype=np.float64)

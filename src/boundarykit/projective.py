@@ -60,7 +60,8 @@ def _normalize_pair(a, b):
     each projective point has exactly one representative.  Returns planes.
     """
     (ar, ai), (br, bi) = a, b
-    norm = np.sqrt(ar * ar + ai * ai + br * br + bi * bi)
+    sqrt = np.sqrt if isinstance(ar, np.ndarray) else math.sqrt  # np.sqrt's bits at float speed
+    norm = sqrt(ar * ar + ai * ai + br * br + bi * bi)
     if not _all((norm > 0.0) & (norm < math.inf)):
         raise ValueError("homogeneous pair must be finite and nonzero")
     scale = 1.0 / norm  # one reciprocal, then products
@@ -72,7 +73,24 @@ def _normalize_pair(a, b):
     return _mul(a, phase), _mul(b, phase)
 
 
-class ProjectivePoint:
+class Value:
+    """Base of the geometric value types: immutable, holding read-only arrays."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _hold(self, *values):
+        """Set the class's __slots__, in order, to `values`, making arrays read-only."""
+        for name, value in zip(self.__slots__, values):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)  # cheaper than setting .flags.writeable
+            object.__setattr__(self, name, value)
+        return self
+
+
+class ProjectivePoint(Value):
     """A point of P^1 over the reals or complexes, in canonical coordinates."""
 
     __slots__ = ("coords", "field_tag")
@@ -82,13 +100,8 @@ class ProjectivePoint:
             raise ValueError(f"unknown field tag {field_tag!r}")
         scalar = float if field_tag == "real" else complex
         (ar, ai), (br, bi) = _normalize_pair(*((z.real, z.imag) for z in map(scalar, (a, b))))
-        coords = np.array([ar, br] if field_tag == "real" else [complex(ar, ai), complex(br, bi)])
-        coords.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "field_tag", field_tag)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjectivePoint is immutable")
+        coords = [ar, br] if field_tag == "real" else [complex(ar, ai), complex(br, bi)]
+        self._hold(np.array(coords), field_tag)
 
     @classmethod
     def from_value(cls, value, field_tag: str = "complex") -> "ProjectivePoint":
@@ -103,19 +116,19 @@ class ProjectivePoint:
 
     @property
     def is_infinity(self) -> bool:
-        return abs(self.coords[1]) < EPS_DIST
+        return bool(2.0 * abs(self.coords[1]) <= EPS_DIST)  # 2|b|: chordal distance to (1, 0)
 
     def value(self):
         """Extended-scalar value (field element, or inf for the point (1,0))."""
-        a, b = self.coords
-        if abs(b) < EPS_DIST * abs(a):
+        if self.is_infinity:
             return INFINITY
+        a, b = self.coords
         v = a / b
         return float(np.real(v)) if self.field_tag == "real" else complex(v)
 
     def chordal_distance(self, other: "ProjectivePoint") -> float:
-        """|det| of the two unit representatives; scale- and chart-free."""
-        return abs(_det(self.coords.tolist(), other.coords.tolist()))
+        """2|det| of the unit representatives: the chord of the sphere points they chart."""
+        return 2.0 * abs(_det(self.coords.tolist(), other.coords.tolist()))
 
     def __eq__(self, other):
         if not isinstance(other, ProjectivePoint):
@@ -213,7 +226,7 @@ def _face_cross_ratios(coords, faces):
     # real pairs divide as reals: numpy's complex division rounds otherwise
     num, den = (np.stack(t, axis=-1).view(np.complex128)[..., 0] if coords.dtype.kind == "c"
                 else t[0] for t in (num, den))
-    return num / den, pairs, _modulus(re, im)
+    return num / den, pairs, 2.0 * _modulus(re, im)
 
 
 def cross_ratio(x0: ProjectivePoint, x1: ProjectivePoint,
@@ -231,7 +244,7 @@ def _cross_ratio(points, tol):
     c = [x.coords.tolist() for x in points]
     dets = {(i, j): _det(c[i], c[j]) for i, j in itertools.combinations(range(4), 2)}
     num, den = _cross_ratio_terms(*(dets[pair] for pair in _TERMS))
-    if min(map(abs, dets.values())) <= tol:  # the chordal distances
+    if 2.0 * min(map(abs, dets.values())) <= tol:  # the chordal distances
         _require_distinct(points, tol)  # names the first close pair
     if abs(den) == 0.0:
         return INFINITY
@@ -240,7 +253,7 @@ def _cross_ratio(points, tol):
     return complex(np.complex128(num) / den)  # numpy's division, as on arrays
 
 
-class MoebiusMap:
+class MoebiusMap(Value):
     """Projective transformation of P^1, stored as a 2x2 matrix with |det| = 1."""
 
     __slots__ = ("matrix", "field_tag")
@@ -252,13 +265,7 @@ class MoebiusMap:
         scale = math.sqrt(abs(det))
         if scale < EPS_DET:
             raise SingularMatrix(f"matrix determinant {abs(det):.3e} below tolerance")
-        m = m / scale
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "field_tag", field_tag)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MoebiusMap is immutable")
+        self._hold(m / scale, field_tag)
 
     @classmethod
     def identity(cls, field_tag: str = "complex") -> "MoebiusMap":

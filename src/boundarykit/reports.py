@@ -59,7 +59,8 @@ class SamplerConfig:
     `dim` is the hyperbolic dimension n: Sn samples the boundary sphere of
     H^n (unit directions in R^n) and complex_hyperbolic the boundary of
     H^n_C.  S1 (the circle) and flags3 (flags in R^3) have no dimension to
-    choose: their dim is 2.
+    choose: their dim is 2.  Left at None, dim is 3 for complex_hyperbolic
+    and 2 for the other models.
     """
 
     model: str
@@ -67,11 +68,13 @@ class SamplerConfig:
     count: int = 1000
     seed: int = 0
     tolerance: float = EPS_DIST
-    dim: int = 2
+    dim: int | None = None
 
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; choose from {MODELS}")
+        if self.dim is None:  # a frozen field, set as the dataclass's __init__ sets it
+            object.__setattr__(self, "dim", 3 if self.model == "complex_hyperbolic" else 2)
         if self.count < 1:
             raise ValueError("count must be at least 1")
         if self.tolerance <= 0:

@@ -178,6 +178,16 @@ def test_n_on_a_model_without_a_dimension_is_a_config_error(tmp_path, capsys, mo
     assert "no dimension to choose" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model", reports.MODELS)
+def test_the_cli_and_the_library_resolve_one_default_dim(tmp_path, model):
+    code, out = run_to_file(tmp_path, "s.json",
+                            ["sample", "--model", model, "--count", "5"] + COMMON)
+    assert code == 0
+    dim = json.loads(out.read_text())["config"]["dim"]
+    assert dim == reports.SamplerConfig(model=model).echo()["dim"]
+    assert dim == (3 if model == "complex_hyperbolic" else 2)
+
+
 def test_a_bad_env_seed_is_a_config_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("BOUNDARYKIT_SEED", "x")
     out = tmp_path / "s.json"

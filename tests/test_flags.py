@@ -47,6 +47,14 @@ def random_sl3(rng):
             return g / d ** (1.0 / 3.0)
 
 
+def test_equal_flags_hash_alike_whatever_the_sign_of_a_zero():
+    a = Flag3([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+    b = Flag3([1.0, -0.0, 0.0], [0.0, 0.0, 1.0])
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 # ---------------------------------------------------------------------------
 # opposition
 

@@ -14,10 +14,12 @@ from boundarykit import (ComplexBoundaryPoint, DegenerateTuple, RealBoundaryPoin
                          invariant_values, is_generic_tuple, sample_tuples,
                          sampling, vol2, vol3)
 from boundarykit.hyperbolic import (ball_lifts, canonical_lifts, cartan_invariant_batch,
-                                    complex_chordal_distance,
+                                    chart_coords, complex_chordal_distance,
                                     real_chordal_distance)
-from boundarykit.projective import _require_distinct
+from boundarykit.projective import (ProjectivePoint, _require_distinct, coincident_pair,
+                                    is_infinite)
 from boundarykit.sampling import ComplexTupleSampler, random_complex_boundary_point
+from boundarykit.volume import vol3_batch
 
 
 def circle_point(angle):
@@ -66,6 +68,41 @@ def test_vol3_rejects_charted_points_at_exactly_tol(gap):
     with pytest.raises(DegenerateTuple):
         vol3(*points, tol=d)
     assert math.isfinite(vol3(*points, tol=below(d)))
+
+
+def test_a_point_is_at_infinity_iff_it_coincides_with_infinity():
+    infinity = ProjectivePoint.infinity()
+    for b in (7.5e-10, 5e-10, 2.5e-10):  # chordal distances 1.5 tol, tol, tol / 2
+        p = ProjectivePoint(1.0, b)
+        coincident = coincident_pair([p, infinity]) is not None
+        assert coincident is (b <= 5e-10)
+        assert p.is_infinity is coincident
+        assert is_infinite(p.value()) is coincident
+
+
+def test_a_chart_point_is_as_far_from_another_as_their_sphere_points():
+    rng = np.random.default_rng(23)
+    u = rng.standard_normal((2000, 2, 3))
+    u /= np.linalg.norm(u, axis=2, keepdims=True)
+    u[:500, 1] = u[:500, 0] + 1e-8 * rng.standard_normal((500, 3))  # near pairs
+    u /= np.linalg.norm(u, axis=2, keepdims=True)
+    for p, q in (map(RealBoundaryPoint, row) for row in u):
+        chord = p.chordal_distance(q)
+        assert boundary_to_chart(p).chordal_distance(boundary_to_chart(q)) == pytest.approx(
+            chord, rel=1e-6)
+
+
+def test_a_tuple_generic_on_the_sphere_has_a_chart_volume():
+    # points 0 and 1 are 1.5 tol apart on S^2: |det| of their chart points
+    # is half that, under tol, and vol3 refused the tuple
+    u = np.array([0.6, 0.0, 0.8])
+    v = u + 1.5e-9 * np.array([0.0, 1.0, 0.0])
+    points = [RealBoundaryPoint(x) for x in (u, v / np.linalg.norm(v), [1.0, 0.0, 0.0],
+                                             [0.0, 1.0, 0.0])]
+    assert is_generic_tuple(points)
+    assert math.isfinite(vol3(*points))
+    coords = chart_coords(np.array([[p.direction for p in points]]))
+    assert vol3_batch(coords).tolist() == [vol3(*points)]
 
 
 # ---------------------------------------------------------------------------

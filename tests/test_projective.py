@@ -201,11 +201,12 @@ def batch_cross_ratios(coords, order=(0, 1, 2, 3)):
 
 
 def rounding(coords):
-    """eps times the sum of 1/d over the six pairs of each tuple: a determinant
-    of unit pairs at distance d is off by about eps absolutely, eps/d relatively,
-    so a cross ratio, made of four of them, by at most this relatively."""
+    """2 eps times the sum of 1/d over the six pairs of each tuple: a determinant
+    of unit pairs at chordal distance d = 2|det| is off by about eps absolutely,
+    2 eps/d relatively, so a cross ratio, made of four of them, by at most this
+    relatively."""
     eps = np.finfo(float).eps
-    return eps * sum(1.0 / _face_cross_ratios(coords, np.array([[0, 1, 2, 3]]))[2])
+    return 2.0 * eps * sum(1.0 / _face_cross_ratios(coords, np.array([[0, 1, 2, 3]]))[2])
 
 
 @pytest.mark.parametrize("close", CLOSE.values(), ids=CLOSE.keys())

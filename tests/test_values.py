@@ -1,5 +1,6 @@
 """Every geometric value type is immutable after construction: no attribute
-can be assigned, and every array it holds is read-only."""
+can be assigned, and every array it holds is read-only.  One base class,
+`projective.Value`, holds both rules."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from boundarykit import (ComplexBoundaryPoint, Flag3, FlatBoundary, H3Embedding,
                          HyperbolicPoint, MoebiusMap, ProjectivePoint, RealBoundaryPoint,
                          flat_boundary)
+from boundarykit.projective import Value
 
 
 def flat():
@@ -38,7 +40,7 @@ def test_a_value_takes_no_assignment_and_holds_read_only_arrays(make):
     value = make()
     names = type(value).__slots__
     for name in names + ("extra",):
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
             setattr(value, name, None)
     arrays = [getattr(value, name) for name in names
               if isinstance(getattr(value, name), np.ndarray)]
@@ -47,6 +49,13 @@ def test_a_value_takes_no_assignment_and_holds_read_only_arrays(make):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 99.0
+
+
+@pytest.mark.parametrize("make", VALUES, ids=lambda make: type(make()).__name__)
+def test_a_value_type_takes_both_rules_from_the_one_base(make):
+    cls = type(make())
+    assert issubclass(cls, Value)
+    assert "__setattr__" not in vars(cls) and "_hold" not in vars(cls)
 
 
 def test_a_value_leaves_the_array_it_was_built_from_writeable():
