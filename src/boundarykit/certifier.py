@@ -15,9 +15,9 @@ down to the base interval [(1-delta)^2, 1-delta], the geometric series of
 increments stays below C, and the certificate reports the (slightly rounder)
 bound |F| <= M_base + 2C on the target region.  The same
 recursion runs on a complex sector at 1 inside the closed unit disc, and
-the alternation relations F(x) = -F(1/x) = -F(1-x) extend a bound near 1 to
-neighborhoods of 0 and infinity and hence, with a compact-set supremum, to
-a global bound.
+the alternation relations F(x) = -F(1/x) = -F(1-x), checked on the grids
+that use them, extend a bound near 1 to neighborhoods of 0 and infinity and
+hence, with a compact-set supremum, to a global bound.
 
 `certify_interval` and `certify_complex_region` only build their region
 (grids, target-membership test, squaring cap); one core, `_certify`, runs
@@ -44,6 +44,7 @@ from .sampling import _blocks
 ARG_TOL = 1e-12            # distance to the excluded points 0, 1
 BLOWUP_THRESHOLD = 1e6     # defect level at which certification is refused
 DYADIC_DEPTH = 48          # halvings of delta in each target grid's tail
+ALTERNATION_TOL = 1e-12    # relative defect of F(x) = -F(1/x) = -F(1-x) that refuses an extension
 DEFAULT_DELTA = {"real": 0.125, "complex": 0.1}
 
 
@@ -190,18 +191,23 @@ def _real_target_grid(delta: float, cfg: GridConfig) -> np.ndarray:
     return np.unique(np.concatenate([uniform, dyadic]))
 
 
+def _finite_values(F: ScalarFunction, points: np.ndarray) -> np.ndarray:
+    """F at `points`, walked in blocks; refuses the first point where |F| is
+    not finite."""
+    values = np.empty(len(points))
+    for rows in _blocks(len(points)):
+        values[rows] = _values(F, points[rows])
+        bad = ~np.isfinite(values[rows])
+        if bad.any():
+            i = rows.start + int(np.argmax(bad))  # the first bad point in grid order
+            raise UnboundedDefect(f"|F| = {abs(values[i].item())!r} at point "
+                                  f"{points[i].item()!r} is not finite")
+    return values
+
+
 def _sup_abs(F: ScalarFunction, points: np.ndarray) -> float:
     """max |F| over `points`; refuses the first point where |F| is not finite."""
-    sup = 0.0
-    for block in (points[rows] for rows in _blocks(len(points))):
-        values = np.abs(_values(F, block))
-        bad = ~np.isfinite(values)
-        if bad.any():
-            i = int(np.argmax(bad))  # the first bad point in grid order
-            raise UnboundedDefect(f"|F| = {values[i].item()!r} at point "
-                                  f"{block[i].item()!r} is not finite")
-        sup = max(sup, float(values.max()))
-    return sup
+    return float(np.abs(_finite_values(F, points)).max(initial=0.0))
 
 
 def _squarings(points: np.ndarray, in_target, cap: int) -> int:
@@ -385,6 +391,29 @@ def certify_complex_region(F: ScalarFunction, delta: float = DEFAULT_DELTA["comp
 # symmetry extension
 
 
+def _alternation_defect(F: ScalarFunction, points: np.ndarray,
+                        values: np.ndarray) -> float:
+    """Largest |F(x) + F(y)| / max(1, |F(x)|) for y = 1/x and y = 1-x over
+    `points` (a 1-D array), given `values` = F(points); refuses the first
+    point, in order, where it exceeds ALTERNATION_TOL (a NaN defect included)."""
+    worst = 0.0
+    for rows in _blocks(len(points)):
+        block, value = points[rows], values[rows]
+        scale = np.maximum(1.0, np.abs(value))
+        inverse, reflection = (np.abs(value + _values(F, image)) / scale
+                               for image in (1.0 / block, 1.0 - block))
+        defect = np.maximum(inverse, reflection)  # NaN stays NaN
+        bad = ~(defect <= ALTERNATION_TOL)  # and fails this test
+        if bad.any():
+            i = int(np.argmax(bad))  # the first bad point in order
+            image = "1/x" if not inverse[i] <= ALTERNATION_TOL else "1-x"
+            raise MissingAlternation(
+                f"|F(x) + F({image})| = {defect[i]:.3e} max(1, |F(x)|) at point "
+                f"{block[i].item()!r} exceeds tolerance {ALTERNATION_TOL:.0e}")
+        worst = max(worst, float(defect.max()))
+    return worst
+
+
 def extend_by_symmetry(cert_near_1: BoundCertificate, F: ScalarFunction,
                        grid: Optional[GridConfig] = None) -> BoundCertificate:
     """Globalize a near-1 bound using F(x) = -F(1/x) and F(x) = -F(1-x).
@@ -392,9 +421,15 @@ def extend_by_symmetry(cert_near_1: BoundCertificate, F: ScalarFunction,
     The reflections transport the near-1 bound to punctured neighborhoods
     of 0 and infinity with the same constant; a grid supremum over the
     remaining compact region completes a bound on the whole punctured
-    domain.  Requires the caller to have declared alternating provenance.
-    Raises UnboundedDefect when |F| is not finite at a compact-region grid
-    point, and EvaluationError when F raises at one.
+    domain.  Requires the caller to have declared alternating provenance,
+    and checks both relations, to ALTERNATION_TOL relative to max(1, |F|),
+    at the compact grid, the near-1 target grid and its images under
+    x -> 1/x and x -> 1-x; their largest relative defect is recorded as
+    `alternation_defect`.  F is read once at each of these points, and
+    every value is checked before either relation: raises UnboundedDefect
+    when |F| is not finite at one, EvaluationError when F raises at a point
+    it needs, and MissingAlternation, naming the first point in that order,
+    where a relation fails.
     """
     if not F.from_alternating:
         raise MissingAlternation(
@@ -406,26 +441,33 @@ def extend_by_symmetry(cert_near_1: BoundCertificate, F: ScalarFunction,
     n = cfg.points_per_region
 
     if F.field_tag == "real":
-        pieces = [np.linspace(-1.0 / delta, -delta, n),
-                  np.linspace(delta, 1.0 - delta, n),
-                  np.linspace(1.0 / (1.0 - delta), 1.0 / delta, n)]
-        compact_sup = max(_sup_abs(F, piece) for piece in pieces)
+        compact = np.concatenate([np.linspace(-1.0 / delta, -delta, n),
+                                  np.linspace(delta, 1.0 - delta, n),
+                                  np.linspace(1.0 / (1.0 - delta), 1.0 / delta, n)])
+        near_1 = _real_target_grid(delta, cfg)
         kind, target = "real_global", "R minus {0, 1}"
     else:
         rho = delta / 2.0
         m = max(2, math.isqrt(n))
-        points = _polar_grid(np.linspace(rho, 2.0 / delta, m),
-                             np.linspace(0.0, 2.0 * math.pi, m, endpoint=False))
+        disc = _polar_grid(np.linspace(rho, 2.0 / delta, m),
+                           np.linspace(0.0, 2.0 * math.pi, m, endpoint=False))
         # np.hypot is abs(complex) bit for bit
-        compact_sup = _sup_abs(F, points[np.hypot(points.real - 1.0, points.imag) >= rho])
+        compact = disc[np.hypot(disc.real - 1.0, disc.imag) >= rho]
+        near_1 = _sector_grid(delta, cfg)
         kind, target = "complex_global", "C minus {0, 1}"
+    points = np.concatenate([compact, near_1, 1.0 / near_1, 1.0 - near_1])
+    values = _finite_values(F, points)
+    compact_sup = float(np.abs(values[:compact.size]).max())
+    alternation = _alternation_defect(F, points, values)
 
     inputs = dict(cert_near_1.inputs)
     inputs["near_1_bound"] = near_bound
     inputs["compact_sup"] = compact_sup
+    inputs["alternation_defect"] = alternation
     provenance = dict(cert_near_1.provenance)
     provenance["near_1_bound"] = "inherited"
     provenance["compact_sup"] = "empirical"
+    provenance["alternation_defect"] = "empirical"
     region = RegionSpec(kind=kind, delta=delta, target=target,
                         base=cert_near_1.region.target)
     return BoundCertificate(region=region,
@@ -468,14 +510,25 @@ def alternating_bump_function(center: float = 0.3) -> ScalarFunction:
     permutation, so F(x) = -F(1/x) = -F(1-x) holds identically.
     """
 
-    def bump(t):
-        d = t - center  # d * d rounds alike on floats and arrays; ** 2 need not
-        return 1.0 / (1.0 + d * d)
+    # one path for a float and a float64 array: only values made here are
+    # updated in place (a float's augmented operators rebind), so x is never
+    # written; d * d rounds alike on floats and arrays, ** 2 need not
 
-    def ev(x):  # a float, or a float64 array elementwise
-        return (bump(x) - bump(1.0 / x) - bump(1.0 - x)
-                + bump(1.0 / (1.0 - x)) + bump((x - 1.0) / x)
-                - bump(x / (x - 1.0)))
+    def bump(t):
+        d = t - center
+        d *= d
+        d += 1.0
+        return 1.0 / d
+
+    def ev(x):
+        y, w = 1.0 - x, x - 1.0
+        v = bump(x)
+        v -= bump(1.0 / x)
+        v -= bump(y)
+        v += bump(1.0 / y)
+        v += bump(w / x)
+        v -= bump(x / w)
+        return v
 
     return ScalarFunction(evaluator=ev, field_tag="real",
                           from_alternating=True, batch=ev)

@@ -141,9 +141,10 @@ def _cmd_certify_bound(args, seed: int):
 
 def _cmd_probe(args, seed: int):
     config = _config_from_args(args, seed)
-    envelope = compactness_probe(_resolve_invariant(args, config), config,
-                                 escape_hi=args.escape_hi, escape_lo=args.escape_lo)
-    return envelope.config, envelope.results, envelope.summary, 0
+    name = _resolve_invariant(args, config)
+    results, summary = compactness_probe(name, config, escape_hi=args.escape_hi,
+                                         escape_lo=args.escape_lo)
+    return {**config.echo(), "invariant": name}, results, summary, 0
 
 
 def build_parser() -> argparse.ArgumentParser:

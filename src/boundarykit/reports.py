@@ -297,8 +297,9 @@ def summarize_invariant(name: str, values: np.ndarray, histogram_values=None):
 
 def compactness_probe(invariant_name: str, config: SamplerConfig,
                       escape_hi: float = ESCAPE_HI_DEFAULT,
-                      escape_lo: float = ESCAPE_LO_DEFAULT) -> ReportEnvelope:
-    """Histogram an invariant over config's generic tuples and classify its range.
+                      escape_lo: float = ESCAPE_LO_DEFAULT):
+    """Histogram an invariant over config's generic tuples and classify its
+    range, as (results, summary) like `summarize_invariant`.
 
     Verdict `bounded-range` means every observed value fell in the model's
     compact reference set; `escape-detected` means values crossed the
@@ -330,10 +331,7 @@ def compactness_probe(invariant_name: str, config: SamplerConfig,
         summary["histogram_scale"] = "log10(|T|)"
         escaped = bool(magnitudes.max() > escape_hi or magnitudes.min() < escape_lo)
         summary["verdict"] = "escape-detected" if escaped else "bounded-range"
-
-    return ReportEnvelope(command="probe-config-space", seed=config.seed,
-                          config={**config.echo(), "invariant": invariant_name},
-                          results=results, summary=summary)
+    return results, summary
 
 
 # ---------------------------------------------------------------------------

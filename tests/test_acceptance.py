@@ -197,18 +197,18 @@ def test_criterion_06_flag_genericity_and_triple_ratio():
 def test_criterion_07_configuration_probes():
     start = time.time()
     failures = []
-    s1 = bk.compactness_probe("orientation_class",
-                              bk.SamplerConfig(model="S1", count=10_000, seed=107))
-    if s1.summary["classes_observed"] != [-1.0, 1.0]:
-        failures.append(f"orientation classes {s1.summary['classes_observed']}")
-    flags = bk.compactness_probe("triple_ratio",
-                                 bk.SamplerConfig(model="flags3", count=100_000,
-                                                  seed=108))
-    if flags.summary["verdict"] != "escape-detected":
+    _, s1 = bk.compactness_probe("orientation_class",
+                                 bk.SamplerConfig(model="S1", count=10_000, seed=107))
+    if s1["classes_observed"] != [-1.0, 1.0]:
+        failures.append(f"orientation classes {s1['classes_observed']}")
+    _, flags = bk.compactness_probe("triple_ratio",
+                                    bk.SamplerConfig(model="flags3", count=100_000,
+                                                     seed=108))
+    if flags["verdict"] != "escape-detected":
         failures.append("flags3 probe did not detect escape")
-    if not (flags.summary["abs_max"] > 1e3 and flags.summary["abs_min"] < 1e-3):
-        failures.append(f"triple-ratio range [{flags.summary['abs_min']:.1e}, "
-                        f"{flags.summary['abs_max']:.1e}] misses thresholds")
+    if not (flags["abs_max"] > 1e3 and flags["abs_min"] < 1e-3):
+        failures.append(f"triple-ratio range [{flags['abs_min']:.1e}, "
+                        f"{flags['abs_max']:.1e}] misses thresholds")
     _finish(7, "probes: 2 orientation classes on S^1; flags3 escape detection",
             time.time() - start, 10, failures)
 

@@ -15,6 +15,7 @@ from boundarykit.certifier import (BoundCertificate, RegionSpec, _base_sector_gr
                                    _effective_depth, _in_sector, _near2_disk_grid,
                                    _near2_radius, _polar_grid, _real_target_grid,
                                    _sector_grid, _squarings)
+from boundarykit.sampling import ROW_BLOCK
 
 FAST_GRID = GridConfig(points_per_region=2000)
 
@@ -598,7 +599,15 @@ def test_grids_equal_their_point_by_point_construction_bitwise(delta, n):
                                                 target="U", base="B"),
                               certified_bound=1.0, inputs={}, k_max=0)
     extend_by_symmetry(near_1, F, cfg)
-    assert np.concatenate(seen).tobytes() == listed_compact_region(delta, cfg).tobytes()
+    # F is read once at the compact grid and the near-1 grid with its two
+    # images, then at both images of each block of those points
+    sector = listed_sector_grid(delta, cfg)
+    points = np.concatenate([listed_compact_region(delta, cfg), sector,
+                             1.0 / sector, 1.0 - sector])
+    images = [image for start in range(0, points.size, ROW_BLOCK)
+              for block in [points[start:start + ROW_BLOCK]]
+              for image in (1.0 / block, 1.0 - block)]
+    assert np.concatenate(seen).tobytes() == np.concatenate([points, *images]).tobytes()
 
 
 def test_polar_grid_keeps_signed_zero_angles_as_cmath_rect_does():
@@ -606,3 +615,129 @@ def test_polar_grid_keeps_signed_zero_angles_as_cmath_rect_does():
     got = _polar_grid([0.0, 1.0, 2.5], angles)
     want = np.array([cmath.rect(r, t) for r in (0.0, 1.0, 2.5) for t in angles])
     assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the extension checks the alternation it uses
+
+
+def identity(field):
+    """F(x) = Re x, declared alternating although it is not."""
+    return ScalarFunction(lambda x: complex(x).real, field, from_alternating=True,
+                          batch=np.real)
+
+
+def spoiled_at(F, point):
+    """F plus 1 at one point, so alternating everywhere else."""
+    return dataclasses.replace(F, evaluator=lambda x: F.evaluator(x) + (x == point),
+                               batch=lambda x: F.batch(x) + (x == point))
+
+
+def test_the_declared_identity_is_refused_at_its_first_compact_point():
+    F = identity("real")
+    cert = certify_interval(F, 0.3)
+    assert cert.certified_bound == pytest.approx(15.41, abs=0.01)
+    with pytest.raises(MissingAlternation) as refusal:
+        extend_by_symmetry(cert, F)
+    assert str(refusal.value).startswith("|F(x) + F(1/x)| = 1.090e+00 max(1, |F(x)|) ")
+    assert refused_point(refusal, " at point ", " exceeds") == -1.0 / 0.3
+
+
+@pytest.mark.parametrize("certify, field, delta", REGIONS)
+def test_a_declared_identity_is_refused_in_either_field(certify, field, delta):
+    F = identity(field)
+    cert = certify(F, delta=delta, grid=FAST_GRID)
+    with pytest.raises(MissingAlternation, match="exceeds tolerance 1e-12") as refusal:
+        extend_by_symmetry(cert, F, grid=FAST_GRID)
+    first = -1.0 / delta if field == "real" else delta / 2.0  # the first compact point
+    assert refused_point(refusal, " at point ", " exceeds") == first
+
+
+@pytest.mark.parametrize("F, certify, delta, bound", [
+    pytest.param(alternating_bump_function(), certify_interval, 0.125,
+                 "0x1.9d7e513a07f64p-3", id="bump"),
+    pytest.param(vol3_slice(), certify_complex_region, 0.1, "0x1.0382bdbe753c0p+0",
+                 id="vol3-slice"),
+])
+def test_alternating_functions_extend_to_their_former_bound(F, certify, delta, bound):
+    glob = extend_by_symmetry(certify(F, delta=delta, grid=FAST_GRID), F, grid=FAST_GRID)
+    assert glob.certified_bound.hex() == bound
+    assert 0.0 <= glob.inputs["alternation_defect"] <= 1e-15
+    assert glob.provenance["alternation_defect"] == "empirical"
+
+
+@pytest.mark.parametrize("F, certify, delta, spoil", [
+    pytest.param(alternating_bump_function(), certify_interval, 0.125,
+                 lambda delta: _real_target_grid(delta, FAST_GRID)[17], id="bump-target"),
+    pytest.param(alternating_bump_function(), certify_interval, 0.125,
+                 lambda delta: np.linspace(delta, 1.0 - delta, 2000)[666], id="bump-compact"),
+    # a point of modulus below 1, so no earlier target point is its inverse
+    pytest.param(vol3_slice(), certify_complex_region, 0.1,
+                 lambda delta: _sector_grid(delta, FAST_GRID)[50], id="vol3-slice-target"),
+])
+def test_a_function_alternating_but_at_one_point_is_refused_there(F, certify, delta, spoil):
+    point = spoil(delta)
+    cert = certify(F, delta=delta, grid=FAST_GRID)
+    with pytest.raises(MissingAlternation) as refusal:
+        extend_by_symmetry(cert, spoiled_at(F, point), grid=FAST_GRID)
+    assert refused_point(refusal, " at point ", " exceeds") == point
+
+
+# ---------------------------------------------------------------------------
+# the bump evaluator and the target grid keep their bits
+
+
+def listed_bump_function(center=0.3):
+    """The bump evaluator as one expression of new values."""
+
+    def bump(t):
+        d = t - center
+        return 1.0 / (1.0 + d * d)
+
+    return lambda x: (bump(x) - bump(1.0 / x) - bump(1.0 - x)
+                      + bump(1.0 / (1.0 - x)) + bump((x - 1.0) / x)
+                      - bump(x / (x - 1.0)))
+
+
+def bump_points():
+    rng = np.random.default_rng(2408)
+    sign = rng.choice([-1.0, 1.0], (3, 20_000))
+    return np.concatenate([
+        rng.uniform(-10.0, 10.0, 40_000),
+        sign[0] * 10.0 ** rng.uniform(-300.0, -1.0, 20_000),        # near 0
+        1.0 + sign[1] * 10.0 ** rng.uniform(-15.0, -1.0, 20_000),   # near 1
+        0.3 + sign[2] * 10.0 ** rng.uniform(-16.0, -1.0, 20_000)])  # near the center
+
+
+def test_the_bump_evaluator_keeps_its_bits_on_arrays_and_floats():
+    F, listed = alternating_bump_function(), listed_bump_function()
+    x = bump_points()
+    assert x.size >= 100_000 and not np.any((x == 0.0) | (x == 1.0))
+    with np.errstate(over="ignore"):  # d * d is inf beyond 1e154
+        assert F.batch(x).tobytes() == listed(x).tobytes()
+    floats = [F.evaluator(v) for v in x.tolist()]
+    assert all(type(v) is float for v in floats)
+    assert np.array(floats).tobytes() == np.array([listed(v) for v in x.tolist()]).tobytes()
+
+
+@pytest.mark.parametrize("writeable", [True, False])
+def test_the_bump_evaluator_never_writes_its_argument(writeable):
+    x = bump_points()[40_000:60_000].copy()
+    x.setflags(write=writeable)
+    before = x.copy()
+    with np.errstate(over="ignore"):
+        values = alternating_bump_function().batch(x)
+        assert values.tobytes() == listed_bump_function()(before).tobytes()
+    assert x.tobytes() == before.tobytes() and x.flags.writeable == writeable
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.125, 0.3, 0.5, 0.9])
+@pytest.mark.parametrize("n", [1, 2, 7, 1000, 60_000])
+def test_the_target_grid_is_the_sorted_union_of_its_parts(delta, n):
+    uniform = 1.0 - delta + delta * np.arange(n) / n
+    dyadic = 1.0 - delta * 0.5 ** np.arange(1, _effective_depth(delta) + 1)
+    if (delta, n) == (0.5, 2):  # the dyadic point 0.75 is a uniform point
+        assert 0.75 in uniform and 0.75 in dyadic
+    want = np.unique(np.concatenate([uniform, dyadic]))
+    got = _real_target_grid(delta, GridConfig(points_per_region=n))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

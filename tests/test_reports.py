@@ -89,25 +89,32 @@ def test_invariant_values_validation():
         invariant_values(SamplerConfig(model="flags3", count=5), "nonsense")
 
 
+def probe_envelope(name, config):
+    """The probe-config-space report of `compactness_probe`'s results and summary."""
+    return ReportEnvelope("probe-config-space", config.seed,
+                          {**config.echo(), "invariant": name},
+                          *compactness_probe(name, config))
+
+
 def test_probe_orientation_classes():
-    env = compactness_probe("orientation_class",
-                            SamplerConfig(model="S1", count=4000, seed=3))
+    env = probe_envelope("orientation_class",
+                         SamplerConfig(model="S1", count=4000, seed=3))
     assert env.summary["classes_observed"] == [-1.0, 1.0]
     assert env.summary["verdict"] == "bounded-range"
 
 
 def test_probe_cartan_bounded_range():
-    env = compactness_probe("cartan",
-                            SamplerConfig(model="complex_hyperbolic",
-                                          count=5000, seed=4))
+    env = probe_envelope("cartan",
+                         SamplerConfig(model="complex_hyperbolic",
+                                       count=5000, seed=4))
     assert env.summary["verdict"] == "bounded-range"
     assert env.summary["min"] >= -math.pi / 2 - 1e-10
     assert env.summary["max"] <= math.pi / 2 + 1e-10
 
 
 def test_probe_triple_ratio_escape():
-    env = compactness_probe("triple_ratio",
-                            SamplerConfig(model="flags3", count=50_000, seed=5))
+    env = probe_envelope("triple_ratio",
+                         SamplerConfig(model="flags3", count=50_000, seed=5))
     assert env.summary["verdict"] == "escape-detected"
     assert env.summary["abs_max"] > 1e3
     assert env.summary["abs_min"] < 1e-3
@@ -122,7 +129,7 @@ def test_the_triple_ratio_probe_makes_only_its_log_histogram(monkeypatch):
     histogram = reports.histogram_summary
     monkeypatch.setattr(reports, "histogram_summary",
                         lambda v, *args: calls.append(v) or histogram(v, *args))
-    env = compactness_probe("triple_ratio", config)
+    env = probe_envelope("triple_ratio", config)
     assert len(calls) == 1
     assert env.summary["histogram"] == histogram(np.log10(np.abs(values)))
     assert env.summary["histogram_scale"] == "log10(|T|)"
@@ -131,8 +138,8 @@ def test_the_triple_ratio_probe_makes_only_its_log_histogram(monkeypatch):
 
 
 def test_envelope_has_seed_and_tolerances():
-    env = compactness_probe("orientation_class",
-                            SamplerConfig(model="S1", count=100, seed=6))
+    env = probe_envelope("orientation_class",
+                         SamplerConfig(model="S1", count=100, seed=6))
     assert env.seed == 6
     assert env.config["tolerance"] > 0
     payload = env.to_dict()
@@ -141,27 +148,27 @@ def test_envelope_has_seed_and_tolerances():
 
 
 def test_json_round_trip(tmp_path):
-    env = compactness_probe("orientation_class",
-                            SamplerConfig(model="S1", count=50, seed=7))
+    env = probe_envelope("orientation_class",
+                         SamplerConfig(model="S1", count=50, seed=7))
     path = tmp_path / "report.json"
     emit_report(env, "json", path)
     assert read_report_json(path) == env
 
 
 def test_json_emission_is_byte_stable(tmp_path):
-    env = compactness_probe("triple_ratio",
-                            SamplerConfig(model="flags3", count=500, seed=8))
+    env = probe_envelope("triple_ratio",
+                         SamplerConfig(model="flags3", count=500, seed=8))
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     emit_report(env, "json", p1)
-    env2 = compactness_probe("triple_ratio",
-                             SamplerConfig(model="flags3", count=500, seed=8))
+    env2 = probe_envelope("triple_ratio",
+                          SamplerConfig(model="flags3", count=500, seed=8))
     emit_report(env2, "json", p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_csv_round_trip(tmp_path):
-    env = compactness_probe("orientation_class",
-                            SamplerConfig(model="S1", count=20, seed=9))
+    env = probe_envelope("orientation_class",
+                         SamplerConfig(model="S1", count=20, seed=9))
     path = tmp_path / "report.csv"
     emit_report(env, "csv", path)
     header, rows = read_report_csv(path)

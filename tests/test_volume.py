@@ -334,3 +334,54 @@ def test_vol3_from_cross_ratio_near_one_matches_the_bloch_wigner_oracle():
     assert np.max(np.abs(vol3_from_cross_ratio_batch(z) - oracle)) <= 1e-15
     scalar = [vol3_from_cross_ratio(w) for w in z[:50].tolist()]
     assert np.max(np.abs(np.subtract(scalar, oracle[:50]))) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# the 32-term series keeps the 43-term bits
+
+
+def horner(x, terms=43):
+    """L(x) on |x| <= pi/2 from the first `terms` terms of the expansion, with
+    zeta(2n) taken as the kernel takes it, summed in the kernel's order."""
+    zeta = ([0.0, math.pi ** 2 / 6, math.pi ** 4 / 90, math.pi ** 6 / 945]
+            + [float(np.sum(np.arange(1.0, 4097.0) ** (-2.0 * n))) for n in range(4, terms + 1)])
+    coeff = [zeta[n] / (n * (2 * n + 1)) for n in range(terms, 0, -1)]
+    q = x / math.pi
+    r = q * q
+    series = coeff[0] * r
+    for c in coeff[1:]:
+        series = (series + c) * r
+    return x - x * np.log(abs(2.0 * x) + (x == 0.0)) + x * series
+
+
+# an angle that 31 terms round otherwise than 43, so the set tells 32 terms from fewer
+SHORT_SERIES_WITNESS = float.fromhex("0x1.921fb53b15881p+0")
+
+
+def test_the_series_has_the_bits_of_43_terms():
+    witness = np.array([SHORT_SERIES_WITNESS])
+    assert horner(witness, 31).tobytes() != horner(witness).tobytes()
+    rng = np.random.default_rng(2407)
+    half = math.pi / 2
+    # the 20,000 floats just below pi/2
+    below = (np.array([half]).view(np.int64) - np.arange(1, 20_001)).view(np.float64)
+    x = np.concatenate([
+        rng.uniform(-half, half, 600_000),
+        half - 10.0 ** rng.uniform(-16.0, 0.0, 200_000),
+        rng.choice([-1.0, 1.0], 200_000) * 10.0 ** rng.uniform(-300.0, 0.0, 200_000),
+        below, [half, -half, 0.0], witness])
+    assert x.size >= 1_000_000 and np.all(np.abs(x) <= half)
+    assert volume._lobachevsky_series(x).tobytes() == horner(x).tobytes()
+
+
+def test_the_regular_tetrahedron_and_pi_over_6_keep_their_bits():
+    assert MAX_VOL3.hex() == "0x1.03d3368ee1112p+0"
+    assert lobachevsky(math.pi / 6).hex() == "0x1.03d3368ee1111p-1"
+
+
+def test_the_terms_past_32_sum_below_their_stated_bound():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):  # term n is at most zeta(2n)/(n(2n+1)) 4^-n |x|, |x| <= pi/2
+        tail = mpmath.nsum(lambda n: mpmath.zeta(2 * n) / (n * (2 * n + 1)) * mpmath.mpf(4) ** -n,
+                           [33, mpmath.inf]) * mpmath.pi / 2
+    assert tail < 1.3e-23
