@@ -391,27 +391,21 @@ def certify_complex_region(F: ScalarFunction, delta: float = DEFAULT_DELTA["comp
 # symmetry extension
 
 
-def _alternation_defect(F: ScalarFunction, points: np.ndarray,
-                        values: np.ndarray) -> float:
+def _alternation_defect(points, values, inverse, reflection) -> float:
     """Largest |F(x) + F(y)| / max(1, |F(x)|) for y = 1/x and y = 1-x over
-    `points` (a 1-D array), given `values` = F(points); refuses the first
-    point, in order, where it exceeds ALTERNATION_TOL (a NaN defect included)."""
-    worst = 0.0
-    for rows in _blocks(len(points)):
-        block, value = points[rows], values[rows]
-        scale = np.maximum(1.0, np.abs(value))
-        inverse, reflection = (np.abs(value + _values(F, image)) / scale
-                               for image in (1.0 / block, 1.0 - block))
-        defect = np.maximum(inverse, reflection)  # NaN stays NaN
-        bad = ~(defect <= ALTERNATION_TOL)  # and fails this test
-        if bad.any():
-            i = int(np.argmax(bad))  # the first bad point in order
-            image = "1/x" if not inverse[i] <= ALTERNATION_TOL else "1-x"
-            raise MissingAlternation(
-                f"|F(x) + F({image})| = {defect[i]:.3e} max(1, |F(x)|) at point "
-                f"{block[i].item()!r} exceeds tolerance {ALTERNATION_TOL:.0e}")
-        worst = max(worst, float(defect.max()))
-    return worst
+    `points` (a 1-D array), given F's finite values there and at 1/points and
+    1-points; refuses the first point, in order, where it exceeds ALTERNATION_TOL."""
+    scale = np.maximum(1.0, np.abs(values))
+    inverse, reflection = (np.abs(values + image) / scale for image in (inverse, reflection))
+    defect = np.maximum(inverse, reflection)
+    bad = defect > ALTERNATION_TOL
+    if bad.any():
+        i = int(np.argmax(bad))  # the first bad point in order
+        image = "1/x" if inverse[i] > ALTERNATION_TOL else "1-x"
+        raise MissingAlternation(
+            f"|F(x) + F({image})| = {defect[i]:.3e} max(1, |F(x)|) at point "
+            f"{points[i].item()!r} exceeds tolerance {ALTERNATION_TOL:.0e}")
+    return float(defect.max())
 
 
 def extend_by_symmetry(cert_near_1: BoundCertificate, F: ScalarFunction,
@@ -421,20 +415,24 @@ def extend_by_symmetry(cert_near_1: BoundCertificate, F: ScalarFunction,
     The reflections transport the near-1 bound to punctured neighborhoods
     of 0 and infinity with the same constant; a grid supremum over the
     remaining compact region completes a bound on the whole punctured
-    domain.  Requires the caller to have declared alternating provenance,
-    and checks both relations, to ALTERNATION_TOL relative to max(1, |F|),
-    at the compact grid, the near-1 target grid and its images under
-    x -> 1/x and x -> 1-x; their largest relative defect is recorded as
-    `alternation_defect`.  F is read once at each of these points, and
-    every value is checked before either relation: raises UnboundedDefect
-    when |F| is not finite at one, EvaluationError when F raises at a point
-    it needs, and MissingAlternation, naming the first point in that order,
-    where a relation fails.
+    domain.  Requires declared alternating provenance (else
+    MissingAlternation) and a near-1 certificate of F's field,
+    `real_interval` or `complex_sector` (else ValueError).  Checks both
+    relations, to ALTERNATION_TOL relative to max(1, |F|), at the compact
+    grid, the near-1 target grid and its images under 1/x and 1-x, and
+    records their largest relative defect as `alternation_defect`.  F is
+    read once, in order, at these points and at the images of the others;
+    raises UnboundedDefect at the first non-finite |F| before testing either
+    relation, EvaluationError when F raises, and MissingAlternation at the
+    first point where a relation fails.
     """
     if not F.from_alternating:
         raise MissingAlternation(
             "symmetry extension needs a function declared as induced by an "
             "alternating cochain")
+    want = "real_interval" if F.field_tag == "real" else "complex_sector"
+    if cert_near_1.region.kind != want:
+        raise ValueError(f"extension needs a {want} certificate, not {cert_near_1.region.kind}")
     cfg = grid or GridConfig()
     delta = cert_near_1.region.delta
     near_bound = cert_near_1.certified_bound
@@ -455,10 +453,15 @@ def extend_by_symmetry(cert_near_1: BoundCertificate, F: ScalarFunction,
         compact = disc[np.hypot(disc.real - 1.0, disc.imag) >= rho]
         near_1 = _sector_grid(delta, cfg)
         kind, target = "complex_global", "C minus {0, 1}"
+    c, k = compact.size, near_1.size
     points = np.concatenate([compact, near_1, 1.0 / near_1, 1.0 - near_1])
-    values = _finite_values(F, points)
-    compact_sup = float(np.abs(values[:compact.size]).max())
-    alternation = _alternation_defect(F, points, values)
+    others = np.delete(points, np.s_[c:c + k])  # near_1's images are points already
+    values = _finite_values(F, np.concatenate([points, 1.0 / others, 1.0 - others]))
+    values, inverse, reflection = np.split(values, [points.size, points.size + others.size])
+    inverse = np.insert(inverse, c, values[c + k:c + 2 * k])
+    reflection = np.insert(reflection, c, values[c + 2 * k:])
+    compact_sup = float(np.abs(values[:c]).max())
+    alternation = _alternation_defect(points, values, inverse, reflection)
 
     inputs = dict(cert_near_1.inputs)
     inputs["near_1_bound"] = near_bound

@@ -16,6 +16,7 @@ measures |delta f| on tuples drawn by `sampling.draw_batches`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable
@@ -28,8 +29,6 @@ from .projective import EPS_DIST
 
 ALT_ARITY_GUARD = 6
 
-_PERM_CACHE: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-
 
 def _parity(perm) -> int:
     inversions = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
@@ -37,12 +36,10 @@ def _parity(perm) -> int:
     return -1 if inversions % 2 else 1
 
 
-def _signed_permutations(p: int):
+@functools.cache
+def _signed_permutations(p: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """All permutations of range(p) with their signs, cached."""
-    if p not in _PERM_CACHE:
-        _PERM_CACHE[p] = [(perm, _parity(perm))
-                          for perm in itertools.permutations(range(p))]
-    return _PERM_CACHE[p]
+    return tuple((perm, _parity(perm)) for perm in itertools.permutations(range(p)))
 
 
 @dataclass(frozen=True)
@@ -67,11 +64,17 @@ def _eval(f: Cochain, models, boundary) -> float:
     """Dispatch a (models, boundary) pair onto f's calling convention."""
     if f.model_arity > 0 and f.arity > 0:
         return f(tuple(models), tuple(boundary))
-    if f.model_arity > 0:
-        return f(*models)
-    if f.arity > 0:
-        return f(*boundary)
-    return f()
+    return f(*models, *boundary)  # the unused part is empty
+
+
+def _evaluator(ev: Callable, model_arity: int, arity: int) -> Callable[..., float]:
+    """The inverse of `_eval`: ev(models, boundary) in the calling convention
+    of a cochain with these arities."""
+    if model_arity > 0 and arity > 0:
+        return ev
+    if model_arity > 0:
+        return lambda *models: ev(models, ())
+    return lambda *boundary: ev((), boundary)
 
 
 def coboundary(f: Cochain) -> Cochain:
@@ -83,15 +86,10 @@ def coboundary(f: Cochain) -> Cochain:
     if f.arity < 1:
         raise ValueError("coboundary needs at least one boundary slot")
 
-    def ev(*args):
-        if f.model_arity > 0:
-            models, boundary = args
-        else:
-            models, boundary = (), args
+    def ev(models, boundary):  # a loop: from Python 3.12, sum() compensates float sums
         total = 0.0
         for i in range(len(boundary)):
-            omitted = boundary[:i] + boundary[i + 1:]
-            total += (-1) ** i * _eval(f, models, omitted)
+            total += (-1) ** i * _eval(f, models, boundary[:i] + boundary[i + 1:])
         return total
 
     batch = None
@@ -102,24 +100,21 @@ def coboundary(f: Cochain) -> Cochain:
             values = f.batch(points, sub.reshape(-1, q - 1)).reshape(len(faces), q, len(points))
             return sum((-1) ** i * values[:, i] for i in range(q))
 
-    return Cochain(arity=f.arity + 1, evaluator=ev, model_arity=f.model_arity, batch=batch)
+    return Cochain(arity=f.arity + 1, evaluator=_evaluator(ev, f.model_arity, f.arity + 1),
+                   model_arity=f.model_arity, batch=batch)
 
 
 def model_coboundary(f: Cochain) -> Cochain:
     """Homogeneous coboundary on the model-space slots."""
 
-    def ev(*args):
-        if f.arity > 0:
-            models, boundary = args
-        else:
-            models, boundary = args, ()
+    def ev(models, boundary):  # a loop, as in `coboundary`
         total = 0.0
         for i in range(len(models)):
-            omitted = models[:i] + models[i + 1:]
-            total += (-1) ** i * _eval(f, omitted, boundary)
+            total += (-1) ** i * _eval(f, models[:i] + models[i + 1:], boundary)
         return total
 
-    return Cochain(arity=f.arity, evaluator=ev, model_arity=f.model_arity + 1)
+    return Cochain(arity=f.arity, evaluator=_evaluator(ev, f.model_arity + 1, f.arity),
+                   model_arity=f.model_arity + 1)
 
 
 def alternate(f: Cochain) -> Cochain:

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from . import flags as flags_mod
-from .cochains import Cochain
+from .cochains import Cochain, _evaluator
 from .errors import SamplerExhausted
 from .flags import Flag3
 from .hyperbolic import (ComplexBoundaryPoint, HyperbolicPoint,
@@ -291,11 +291,5 @@ def random_mixed_cochain(model_arity: int, boundary_arity: int, rng,
                 total += w * math.exp(-s * pairing)
         return total
 
-    if model_arity > 0 and boundary_arity > 0:
-        evaluator = ev
-    elif model_arity > 0:
-        evaluator = lambda *models: ev(models, ())
-    else:
-        evaluator = lambda *boundary: ev((), boundary)
-    return Cochain(arity=boundary_arity, evaluator=evaluator,
+    return Cochain(arity=boundary_arity, evaluator=_evaluator(ev, model_arity, boundary_arity),
                    model_arity=model_arity)

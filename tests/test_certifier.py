@@ -15,7 +15,6 @@ from boundarykit.certifier import (BoundCertificate, RegionSpec, _base_sector_gr
                                    _effective_depth, _in_sector, _near2_disk_grid,
                                    _near2_radius, _polar_grid, _real_target_grid,
                                    _sector_grid, _squarings)
-from boundarykit.sampling import ROW_BLOCK
 
 FAST_GRID = GridConfig(points_per_region=2000)
 
@@ -600,14 +599,13 @@ def test_grids_equal_their_point_by_point_construction_bitwise(delta, n):
                               certified_bound=1.0, inputs={}, k_max=0)
     extend_by_symmetry(near_1, F, cfg)
     # F is read once at the compact grid and the near-1 grid with its two
-    # images, then at both images of each block of those points
-    sector = listed_sector_grid(delta, cfg)
-    points = np.concatenate([listed_compact_region(delta, cfg), sector,
-                             1.0 / sector, 1.0 - sector])
-    images = [image for start in range(0, points.size, ROW_BLOCK)
-              for block in [points[start:start + ROW_BLOCK]]
-              for image in (1.0 / block, 1.0 - block)]
-    assert np.concatenate(seen).tobytes() == np.concatenate([points, *images]).tobytes()
+    # images, then at the two images of every point but the near-1 grid's,
+    # whose images are already among those points
+    compact, sector = listed_compact_region(delta, cfg), listed_sector_grid(delta, cfg)
+    points = np.concatenate([compact, sector, 1.0 / sector, 1.0 - sector])
+    others = np.concatenate([compact, 1.0 / sector, 1.0 - sector])
+    want = np.concatenate([points, 1.0 / others, 1.0 - others])
+    assert np.concatenate(seen).tobytes() == want.tobytes()
 
 
 def test_polar_grid_keeps_signed_zero_angles_as_cmath_rect_does():
@@ -653,17 +651,77 @@ def test_a_declared_identity_is_refused_in_either_field(certify, field, delta):
     assert refused_point(refusal, " at point ", " exceeds") == first
 
 
-@pytest.mark.parametrize("F, certify, delta, bound", [
+@pytest.mark.parametrize("F, certify, delta, bound, compact_sup, defect", [
     pytest.param(alternating_bump_function(), certify_interval, 0.125,
-                 "0x1.9d7e513a07f64p-3", id="bump"),
+                 "0x1.9d7e513a07f64p-3", "0x1.8d6f85f366c40p-5", "0x1.6000000000000p-51",
+                 id="bump"),
     pytest.param(vol3_slice(), certify_complex_region, 0.1, "0x1.0382bdbe753c0p+0",
-                 id="vol3-slice"),
+                 "0x1.0382bdbe753c0p+0", "0x1.1000000000000p-50", id="vol3-slice"),
 ])
-def test_alternating_functions_extend_to_their_former_bound(F, certify, delta, bound):
+def test_alternating_functions_extend_to_their_former_bound(F, certify, delta, bound,
+                                                            compact_sup, defect):
     glob = extend_by_symmetry(certify(F, delta=delta, grid=FAST_GRID), F, grid=FAST_GRID)
     assert glob.certified_bound.hex() == bound
-    assert 0.0 <= glob.inputs["alternation_defect"] <= 1e-15
+    assert glob.inputs["compact_sup"].hex() == compact_sup
+    assert glob.inputs["alternation_defect"].hex() == defect
     assert glob.provenance["alternation_defect"] == "empirical"
+
+
+@pytest.mark.parametrize("F, certify, delta, reads, compact_sup, defect", [
+    pytest.param(alternating_bump_function(), certify_interval, 0.125, 160_203,
+                 "0x1.8d6f8741a61b8p-5", "0x1.8000000000000p-51", id="bump"),
+    pytest.param(vol3_slice(), certify_complex_region, 0.1, 100_693,
+                 "0x1.03702e43459a5p+0", "0x1.0000000000000p-50", id="vol3-slice"),
+])
+def test_the_extension_reads_each_point_once_at_default_grids(F, certify, delta, reads,
+                                                              compact_sup, defect):
+    cert = certify(F, delta=delta)
+    count = []
+
+    def counted(x):
+        count.append(x.size)
+        return F.batch(x)
+
+    glob = extend_by_symmetry(cert, dataclasses.replace(F, batch=counted))
+    # the checked points plus the images of all but the near-1 grid's
+    assert sum(count) == reads
+    assert glob.inputs["compact_sup"].hex() == compact_sup
+    assert glob.inputs["alternation_defect"].hex() == defect
+
+
+def test_a_non_finite_value_at_an_image_is_refused_there():
+    F = alternating_bump_function()
+    cert = certify_interval(F, 0.125, FAST_GRID)
+    G = ScalarFunction(lambda x: math.nan if x == 9.0 else F.evaluator(x), "real",
+                       from_alternating=True)
+    with pytest.raises(UnboundedDefect) as refusal:  # 9.0 is 1 - x at the compact point -8.0
+        extend_by_symmetry(cert, G, FAST_GRID)
+    assert str(refusal.value) == "|F| = nan at point 9.0 is not finite"
+
+
+def test_a_certificate_of_the_other_field_is_not_extended():
+    F = vol3_slice()
+    cert = certify_interval(F, 0.125, FAST_GRID)  # evidence on [0.875, 1) only
+    assert cert.certified_bound == 0.0
+    with pytest.raises(ValueError, match="needs a complex_sector certificate, not real_interval"):
+        extend_by_symmetry(cert, F, FAST_GRID)
+    zero = ScalarFunction(lambda z: 0.0, "complex", from_alternating=True)
+    bump = certify_interval(alternating_bump_function(), 0.125, FAST_GRID)
+    with pytest.raises(ValueError, match="needs a complex_sector certificate, not real_interval"):
+        extend_by_symmetry(bump, zero, FAST_GRID)
+
+
+@pytest.mark.parametrize("F, certify, delta, near_kind, kind", [
+    pytest.param(alternating_bump_function(), certify_interval, 0.125, "real_interval",
+                 "real_global", id="bump"),
+    pytest.param(vol3_slice(), certify_complex_region, 0.1, "complex_sector",
+                 "complex_global", id="vol3-slice"),
+])
+def test_an_extended_certificate_is_not_extended_again(F, certify, delta, near_kind, kind):
+    glob = extend_by_symmetry(certify(F, delta=delta, grid=FAST_GRID), F, grid=FAST_GRID)
+    assert glob.region.kind == kind
+    with pytest.raises(ValueError, match=f"needs a {near_kind} certificate, not {kind}"):
+        extend_by_symmetry(glob, F, grid=FAST_GRID)
 
 
 @pytest.mark.parametrize("F, certify, delta, spoil", [

@@ -5,6 +5,7 @@ from boundarykit import (ArityTooLarge, Cochain, DegenerateTuple, EvaluationErro
                          MixedModels, SamplerExhausted, alternate, alternating_projection,
                          alternation_spot_check, coboundary, cone_homotopy,
                          empirical_sup_defect, model_coboundary, vol2, vol3)
+from boundarykit.cochains import _eval, _evaluator, _signed_permutations
 from boundarykit.hyperbolic import (apply_isometry, boundary_to_chart, is_generic_tuple,
                                     random_lorentz_isometry)
 from boundarykit.sampling import rejection_loop
@@ -48,6 +49,72 @@ def test_coboundary_squares_to_zero(arity):
     for _ in range(200):
         pts = sphere_tuple(rng, arity + 2)
         assert abs(ddf(*pts)) <= 1e-10
+
+
+@pytest.mark.parametrize("model_arity, arity", [(0, 0), (0, 3), (2, 0), (2, 3)])
+def test_the_evaluator_of_a_pair_function_is_the_inverse_of_eval(model_arity, arity):
+    seen = []
+
+    def ev(models, boundary):
+        seen.append((models, boundary))
+        return 10.0 * len(models) + len(boundary)
+
+    f = Cochain(arity, _evaluator(ev, model_arity, arity), model_arity)
+    models, boundary = tuple("m" * (i + 1) for i in range(model_arity)), tuple(range(arity))
+    assert _eval(f, list(models), list(boundary)) == ev(models, boundary)
+    assert seen == [(models, boundary)] * 2
+
+
+def listed_call(f, models, boundary):
+    """f at (models, boundary), in the calling convention written out."""
+    if f.model_arity > 0 and f.arity > 0:
+        return f(tuple(models), tuple(boundary))
+    return f(*models) if f.model_arity > 0 else f(*boundary)
+
+
+def listed_coboundary(f, models, boundary):
+    """The signed sum over the boundary slots, left to right."""
+    total = 0.0
+    for i in range(len(boundary)):
+        total += (-1) ** i * listed_call(f, models, boundary[:i] + boundary[i + 1:])
+    return total
+
+
+def listed_model_coboundary(f, models, boundary):
+    """The signed sum over the model slots, left to right."""
+    total = 0.0
+    for i in range(len(models)):
+        total += (-1) ** i * listed_call(f, models[:i] + models[i + 1:], boundary)
+    return total
+
+
+@pytest.mark.parametrize("make, model_arity, arity", [
+    pytest.param(lambda rng: random_smooth_cochain(3, rng), 0, 3, id="smooth-boundary"),
+    pytest.param(lambda rng: random_mixed_cochain(0, 3, rng), 0, 3, id="mixed-boundary"),
+    pytest.param(lambda rng: random_mixed_cochain(3, 0, rng), 3, 0, id="mixed-model"),
+    pytest.param(lambda rng: random_mixed_cochain(2, 3, rng), 2, 3, id="mixed"),
+    pytest.param(lambda rng: random_mixed_cochain(2, 3, rng, invariant=True), 2, 3,
+                 id="mixed-invariant"),
+])
+def test_scalar_coboundaries_are_the_listed_signed_sums_bit_for_bit(make, model_arity, arity):
+    rng = np.random.default_rng(2501)
+    f = make(rng)
+    for _ in range(20):
+        models = tuple(random_hyperbolic_point(rng, 2) for _ in range(model_arity + 1))
+        boundary = sphere_tuple(rng, arity + 1)
+        if arity > 0:
+            g = coboundary(f)
+            got = listed_call(g, models[:-1], boundary)
+            assert got.hex() == listed_coboundary(f, models[:-1], boundary).hex()
+        g = model_coboundary(f)
+        got = listed_call(g, models, boundary[:-1])
+        assert got.hex() == listed_model_coboundary(f, models, boundary[:-1]).hex()
+
+
+def test_signed_permutations_are_made_once_per_arity():
+    assert _signed_permutations(4) is _signed_permutations(4)
+    assert len(_signed_permutations(4)) == 24
+    assert sum(sign for _, sign in _signed_permutations(4)) == 0
 
 
 # ---------------------------------------------------------------------------
