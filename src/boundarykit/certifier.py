@@ -22,10 +22,11 @@ hence, with a compact-set supremum, to a global bound.
 `certify_interval` and `certify_complex_region` only build their region
 (grids, target-membership test, squaring cap); one core, `_certify`, runs
 the recursion on either, over numpy blocks of `sampling.ROW_BLOCK` grid
-points.  Suprema are measured on grids and labeled `empirical`; callers
-may supply `analytic` values instead.  Target grids include a dyadic
-tail toward their open endpoint so divergent inputs are refused, naming
-the offending point, rather than certified.
+points; real grids are made block by block, complex ones whole.  Suprema
+are measured on grids and labeled `empirical`; callers may supply
+`analytic` values instead.  Target grids include a dyadic tail toward
+their open endpoint so divergent inputs are refused, naming the offending
+point, rather than certified.
 """
 
 from __future__ import annotations
@@ -33,13 +34,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .errors import (DegenerateArguments, EvaluationError, IterationOverflow,
                      MissingAlternation, UnboundedDefect)
-from .sampling import _blocks
+from .sampling import ROW_BLOCK, _blocks
 
 ARG_TOL = 1e-12            # distance to the excluded points 0, 1
 BLOWUP_THRESHOLD = 1e6     # defect level at which certification is refused
@@ -184,11 +185,35 @@ def _effective_depth(delta: float) -> int:
     return min(DYADIC_DEPTH, int(math.log2(delta / (8.0 * ARG_TOL))))
 
 
-def _real_target_grid(delta: float, cfg: GridConfig) -> np.ndarray:
-    """Grid on [1-delta, 1): uniform plus a dyadic tail toward the open end."""
-    uniform = 1.0 - delta + delta * np.arange(cfg.points_per_region) / cfg.points_per_region
+def _real_target_grid(delta: float, cfg: GridConfig) -> Iterator[np.ndarray]:
+    """Grid on [1-delta, 1): uniform plus a dyadic tail toward the open end.
+
+    Yields the sorted distinct points of both, in the `_blocks` slices of the
+    whole grid, from no whole-grid array: each ROW_BLOCK uniform points take
+    the dyadic points up to their last one, placed by `searchsorted`."""
+    n = cfg.points_per_region
     dyadic = 1.0 - delta * 0.5 ** np.arange(1, _effective_depth(delta) + 1)
-    return np.unique(np.concatenate([uniform, dyadic]))
+    last, pending = -np.inf, np.empty(0)
+    for rows in _blocks(n):
+        block = 1.0 - delta + delta * np.arange(rows.start, rows.stop) / n
+        k = dyadic.size if rows.stop == n else np.searchsorted(dyadic, block[-1], "right")
+        block = np.insert(block, np.searchsorted(block, dyadic[:k]), dyadic[:k])
+        dyadic = dyadic[k:]
+        pending = np.concatenate([pending, block[np.diff(block, prepend=last) > 0]])
+        last = block[-1]  # so the diff also drops a repeat across blocks
+        while pending.size >= ROW_BLOCK or (rows.stop == n and pending.size):
+            yield pending[:ROW_BLOCK]
+            pending = pending[ROW_BLOCK:]
+
+
+def _linspace(start: float, stop: float, n: int) -> Iterator[np.ndarray]:
+    """np.linspace(start, stop, n) in `_blocks` slices, bit for bit: numpy's k * step + start."""
+    step = (stop - start) / max(n - 1, 1)
+    for rows in _blocks(n):
+        block = np.arange(rows.start, rows.stop, dtype=np.float64) * step + start
+        if rows.stop == n > 1:
+            block[-1] = stop
+        yield block
 
 
 def _finite_values(F: ScalarFunction, points: np.ndarray) -> np.ndarray:
@@ -205,9 +230,11 @@ def _finite_values(F: ScalarFunction, points: np.ndarray) -> np.ndarray:
     return values
 
 
-def _sup_abs(F: ScalarFunction, points: np.ndarray) -> float:
-    """max |F| over `points`; refuses the first point where |F| is not finite."""
-    return float(np.abs(_finite_values(F, points)).max(initial=0.0))
+def _sup_abs(F: ScalarFunction, blocks) -> float:
+    """max |F| over the points of `blocks`, 1-D arrays walked in order as a
+    running maximum; refuses the first point where |F| is not finite."""
+    return max((float(np.abs(_finite_values(F, points)).max(initial=0.0))
+                for points in blocks), default=0.0)
 
 
 def _squarings(points: np.ndarray, in_target, cap: int) -> int:
@@ -227,7 +254,8 @@ def _certify(F: ScalarFunction, target, base, near2, in_target, cap: int,
              region: RegionSpec, overrides: Optional[dict]) -> BoundCertificate:
     """Run the doubling recursion on one region and assemble its certificate.
 
-    The grids are 1-D arrays, walked in blocks of ROW_BLOCK points.  Squaring
+    The grids are iterables of 1-D arrays (a real grid's blocks, or one
+    whole complex grid), walked in blocks of ROW_BLOCK points.  Squaring
     each `target` point until the array test `in_target` fails gives k_max
     (at most `cap` squarings; a block is counted before F is evaluated on
     it).  B_defect is the defect supremum over the same points, M_base and
@@ -241,7 +269,7 @@ def _certify(F: ScalarFunction, target, base, near2, in_target, cap: int,
         raise ValueError(f"unknown override keys: {sorted(unknown)}")
     k_max = 0
     worst = 0.0
-    for block in (target[rows] for rows in _blocks(len(target))):
+    for block in (points[rows] for points in target for rows in _blocks(len(points))):
         k_max = max(k_max, _squarings(block, in_target, cap))
         if "B_defect" not in overrides:
             d = np.abs(_doubling_defects(F, block))
@@ -290,8 +318,8 @@ def certify_interval(F: ScalarFunction, delta: float = DEFAULT_DELTA["real"],
                         target=f"[{1 - delta}, 1)",
                         base=f"[{base_lo}, {1 - delta}]",
                         near2=f"[{2 - delta}, {near2_hi}]")
-    return _certify(F, _real_target_grid(delta, cfg), np.linspace(base_lo, edge, n),
-                    np.linspace(2.0 - delta, near2_hi, n),
+    return _certify(F, _real_target_grid(delta, cfg), _linspace(base_lo, edge, n),
+                    _linspace(2.0 - delta, near2_hi, n),
                     lambda x: x > edge, cap, region, overrides)
 
 
@@ -382,8 +410,8 @@ def certify_complex_region(F: ScalarFunction, delta: float = DEFAULT_DELTA["comp
                         target=f"{{1-{delta} < |z| <= 1, |arg z| < {delta}}}",
                         base="closure of doubled sector minus target",
                         near2=f"disk(2, {_near2_radius(delta):.6g})")
-    return _certify(F, _sector_grid(delta, cfg), _base_sector_grids(delta, cfg),
-                    _near2_disk_grid(delta, cfg),
+    return _certify(F, [_sector_grid(delta, cfg)], [_base_sector_grids(delta, cfg)],
+                    [_near2_disk_grid(delta, cfg)],
                     lambda z: _in_sector(z, delta), cap, region, overrides)
 
 
@@ -442,7 +470,7 @@ def extend_by_symmetry(cert_near_1: BoundCertificate, F: ScalarFunction,
         compact = np.concatenate([np.linspace(-1.0 / delta, -delta, n),
                                   np.linspace(delta, 1.0 - delta, n),
                                   np.linspace(1.0 / (1.0 - delta), 1.0 / delta, n)])
-        near_1 = _real_target_grid(delta, cfg)
+        near_1 = np.concatenate(list(_real_target_grid(delta, cfg)))
         kind, target = "real_global", "R minus {0, 1}"
     else:
         rho = delta / 2.0

@@ -131,9 +131,11 @@ def alternate(f: Cochain) -> Cochain:
         raise ArityTooLarge(f"arity {p} exceeds the guard {ALT_ARITY_GUARD}")
     perms = _signed_permutations(p)
 
-    def ev(*points):
-        return sum(sign * f.evaluator(*(points[i] for i in perm))
-                   for perm, sign in perms)
+    def ev(*points):  # a loop, as in `coboundary`
+        total = 0.0
+        for perm, sign in perms:
+            total += sign * f.evaluator(*(points[i] for i in perm))
+        return total
 
     return Cochain(arity=p, evaluator=ev)
 
@@ -176,8 +178,8 @@ def cone_homotopy(f: Cochain, boundary_points, tol: float = EPS_DIST) -> Cochain
 def alternation_spot_check(f: Cochain, tuples, tol: float = 1e-10) -> bool:
     """Check the declared-alternating invariant on sample tuples.
 
-    For each tuple, a transposition must flip the value and a 3-cycle must
-    preserve it, both within tol.
+    For each tuple of p points, (0 1) must flip the value and the p-cycle,
+    which with it generates S_p, multiply it by (-1)^(p-1), both within tol.
     """
     for points in tuples:
         points = tuple(points)
@@ -186,8 +188,8 @@ def alternation_spot_check(f: Cochain, tuples, tol: float = 1e-10) -> bool:
         if abs(f(*swapped) + value) > tol:
             return False
         if len(points) >= 3:
-            cycled = (points[1], points[2], points[0]) + points[3:]
-            if abs(f(*cycled) - value) > tol:
+            cycled = points[1:] + points[:1]
+            if abs(f(*cycled) - (-1) ** (len(points) - 1) * value) > tol:
                 return False
     return True
 

@@ -261,10 +261,10 @@ def random_mixed_cochain(model_arity: int, boundary_arity: int, rng,
     """Smooth cochain with model and boundary slots.
 
     Built from radial-basis terms in the pairwise hyperbolic distances of
-    the model points and from model-boundary Lorentz pairings.  With
-    `invariant=True` only isometry-invariant features (distances and pairing
-    ratios) are used, so the cochain is invariant under the ambient group.
-    The features work in every dimension.
+    the model points and from model-boundary Lorentz pairings, in every
+    dimension, so with no model slot it is identically 0.  With
+    `invariant=True` only isometry-invariant features (distances and
+    pairing ratios) are used: the cochain is invariant under the ambient group.
     """
     mm_pairs = [(i, j) for i in range(model_arity) for j in range(i + 1, model_arity)]
     mm_w = rng.standard_normal(len(mm_pairs))

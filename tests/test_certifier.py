@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,11 +13,17 @@ from boundarykit import (DegenerateArguments, EvaluationError, GridConfig,
                          doubling_defect, extend_by_symmetry, five_term_defect,
                          pole_function, vol3_slice)
 from boundarykit.certifier import (BoundCertificate, RegionSpec, _base_sector_grids,
-                                   _effective_depth, _in_sector, _near2_disk_grid,
+                                   _effective_depth, _in_sector, _linspace, _near2_disk_grid,
                                    _near2_radius, _polar_grid, _real_target_grid,
                                    _sector_grid, _squarings)
+from boundarykit.sampling import ROW_BLOCK, _blocks
 
 FAST_GRID = GridConfig(points_per_region=2000)
+
+
+def target_points(delta, cfg=FAST_GRID):
+    """The real target grid: its blocks, concatenated."""
+    return np.concatenate(list(_real_target_grid(delta, cfg)))
 
 
 def smooth_real():
@@ -436,7 +443,7 @@ def test_a_batch_nan_on_the_target_is_refused_at_its_first_point(certify, field,
     with pytest.raises(UnboundedDefect) as refusal:
         certify(F, delta=delta, grid=FAST_GRID)
     x = refused_point(refusal, "doubling defect nan at point ", " is not below")
-    grid = _real_target_grid(delta, FAST_GRID) if field == "real" else _sector_grid(
+    grid = target_points(delta) if field == "real" else _sector_grid(
         delta, FAST_GRID)
     assert x == grid[nan_part(grid)][0]  # the first such point in grid order
 
@@ -511,7 +518,7 @@ def test_sector_membership_agrees_with_python_scalars():
 def test_squaring_count_and_its_cap(field):
     delta = 0.1
     if field == "real":
-        points = _real_target_grid(delta, FAST_GRID)
+        points = target_points(delta)
 
         def inside(w):
             return w > 1.0 - delta
@@ -726,7 +733,7 @@ def test_an_extended_certificate_is_not_extended_again(F, certify, delta, near_k
 
 @pytest.mark.parametrize("F, certify, delta, spoil", [
     pytest.param(alternating_bump_function(), certify_interval, 0.125,
-                 lambda delta: _real_target_grid(delta, FAST_GRID)[17], id="bump-target"),
+                 lambda delta: target_points(delta)[17], id="bump-target"),
     pytest.param(alternating_bump_function(), certify_interval, 0.125,
                  lambda delta: np.linspace(delta, 1.0 - delta, 2000)[666], id="bump-compact"),
     # a point of modulus below 1, so no earlier target point is its inverse
@@ -789,13 +796,39 @@ def test_the_bump_evaluator_never_writes_its_argument(writeable):
     assert x.tobytes() == before.tobytes() and x.flags.writeable == writeable
 
 
-@pytest.mark.parametrize("delta", [0.05, 0.125, 0.3, 0.5, 0.9])
-@pytest.mark.parametrize("n", [1, 2, 7, 1000, 60_000])
+# at 1e-13 neighboring uniform points round to one float, also across blocks
+@pytest.mark.parametrize("delta", [0.05, 0.125, 0.3, 0.5, 0.9, 1e-13])
+@pytest.mark.parametrize("n", [1, 2, 7, 1000, 60_000, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1])
 def test_the_target_grid_is_the_sorted_union_of_its_parts(delta, n):
     uniform = 1.0 - delta + delta * np.arange(n) / n
     dyadic = 1.0 - delta * 0.5 ** np.arange(1, _effective_depth(delta) + 1)
     if (delta, n) == (0.5, 2):  # the dyadic point 0.75 is a uniform point
         assert 0.75 in uniform and 0.75 in dyadic
     want = np.unique(np.concatenate([uniform, dyadic]))
-    got = _real_target_grid(delta, GridConfig(points_per_region=n))
+    blocks = list(_real_target_grid(delta, GridConfig(points_per_region=n)))
+    got = np.concatenate(blocks)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # the `_blocks` slices of the whole grid, so a refusal does not move
+    assert [len(block) for block in blocks] == [rows.stop - rows.start for rows in _blocks(want.size)]
+
+
+# at 0.43 the last near-2 point k * step + start misses stop, which numpy sets
+@pytest.mark.parametrize("delta", [0.05, 0.125, 0.3, 0.43, 0.5, 0.9])
+@pytest.mark.parametrize("n", [1, 2, 7, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 60_000])
+def test_the_base_and_near2_blocks_are_np_linspace(delta, n):
+    for start, stop in [((1.0 - delta) ** 2, 1.0 - delta),
+                        (2.0 - delta, max(2.0 + delta, 2.0 / (1.0 - delta)))]:
+        blocks = list(_linspace(start, stop, n))
+        assert np.concatenate(blocks).tobytes() == np.linspace(start, stop, n).tobytes()
+        assert [len(block) for block in blocks] == [rows.stop - rows.start for rows in _blocks(n)]
+
+
+def test_a_real_certificate_runs_in_constant_memory():
+    F = alternating_bump_function()
+    tracemalloc.start()
+    try:
+        certify_interval(F, 0.3, GridConfig(points_per_region=200_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # whole grids of 200,000 points took about 8 MB

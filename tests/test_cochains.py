@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -65,6 +68,20 @@ def test_the_evaluator_of_a_pair_function_is_the_inverse_of_eval(model_arity, ar
     assert seen == [(models, boundary)] * 2
 
 
+def boundary_only_pair_cochain(rng):
+    """A nonzero boundary-only cochain made from a (models, boundary) function;
+    `random_mixed_cochain(0, 3, rng)` has no model slot and is identically 0."""
+    weights = rng.standard_normal(3)
+
+    def ev(models, boundary):
+        total = 0.0
+        for w, (x, y) in zip(weights, itertools.combinations(boundary, 2)):
+            total += w * math.exp(float(x.direction @ y.direction))
+        return total
+
+    return Cochain(3, _evaluator(ev, 0, 3))
+
+
 def listed_call(f, models, boundary):
     """f at (models, boundary), in the calling convention written out."""
     if f.model_arity > 0 and f.arity > 0:
@@ -90,7 +107,7 @@ def listed_model_coboundary(f, models, boundary):
 
 @pytest.mark.parametrize("make, model_arity, arity", [
     pytest.param(lambda rng: random_smooth_cochain(3, rng), 0, 3, id="smooth-boundary"),
-    pytest.param(lambda rng: random_mixed_cochain(0, 3, rng), 0, 3, id="mixed-boundary"),
+    pytest.param(boundary_only_pair_cochain, 0, 3, id="mixed-boundary"),
     pytest.param(lambda rng: random_mixed_cochain(3, 0, rng), 3, 0, id="mixed-model"),
     pytest.param(lambda rng: random_mixed_cochain(2, 3, rng), 2, 3, id="mixed"),
     pytest.param(lambda rng: random_mixed_cochain(2, 3, rng, invariant=True), 2, 3,
@@ -99,16 +116,18 @@ def listed_model_coboundary(f, models, boundary):
 def test_scalar_coboundaries_are_the_listed_signed_sums_bit_for_bit(make, model_arity, arity):
     rng = np.random.default_rng(2501)
     f = make(rng)
+    listed = []
     for _ in range(20):
         models = tuple(random_hyperbolic_point(rng, 2) for _ in range(model_arity + 1))
         boundary = sphere_tuple(rng, arity + 1)
         if arity > 0:
             g = coboundary(f)
-            got = listed_call(g, models[:-1], boundary)
-            assert got.hex() == listed_coboundary(f, models[:-1], boundary).hex()
+            listed.append(listed_coboundary(f, models[:-1], boundary))
+            assert listed_call(g, models[:-1], boundary).hex() == listed[-1].hex()
         g = model_coboundary(f)
-        got = listed_call(g, models, boundary[:-1])
-        assert got.hex() == listed_model_coboundary(f, models, boundary[:-1]).hex()
+        listed.append(listed_model_coboundary(f, models, boundary[:-1]))
+        assert listed_call(g, models, boundary[:-1]).hex() == listed[-1].hex()
+    assert any(value != 0.0 for value in listed)  # so a cochain that is 0 cannot pass
 
 
 def test_signed_permutations_are_made_once_per_arity():
@@ -178,6 +197,20 @@ def test_alternate_arity_guard():
         alternate(f)
 
 
+@pytest.mark.parametrize("arity", [3, 4])
+def test_alternate_is_the_listed_signed_sum_bit_for_bit(arity):
+    rng = np.random.default_rng(2601 + arity)
+    f = random_smooth_cochain(arity, rng)
+    alt = alternate(f)
+    for _ in range(20):
+        pts = sphere_tuple(rng, arity)
+        total = 0.0  # left to right: from Python 3.12, sum() compensates float sums
+        for perm in itertools.permutations(range(arity)):
+            inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(arity), 2))
+            total += (-1) ** inversions * f(*(pts[i] for i in perm))
+        assert alt(*pts).hex() == total.hex()
+
+
 def test_declared_alternating_cochains_pass_spot_checks():
     rng = np.random.default_rng(70)
     vol2_cochain = Cochain(arity=3, evaluator=vol2)
@@ -185,6 +218,28 @@ def test_declared_alternating_cochains_pass_spot_checks():
     assert alternation_spot_check(vol2_cochain, tuples)
     not_alternating = random_smooth_cochain(3, rng)
     assert not alternation_spot_check(not_alternating, tuples)
+
+
+@pytest.mark.parametrize("f, size, dim", [
+    pytest.param(Cochain(arity=4, evaluator=vol3), 4, 3, id="vol3"),
+    pytest.param(alternate(random_smooth_cochain(4, np.random.default_rng(2602))), 4, 2,
+                 id="alternated-4"),
+    pytest.param(alternate(random_smooth_cochain(5, np.random.default_rng(2603))), 5, 2,
+                 id="alternated-5"),
+])
+def test_alternating_cochains_of_four_and_five_slots_pass_spot_checks(f, size, dim):
+    rng = np.random.default_rng(2604)
+    assert alternation_spot_check(f, [sphere_tuple(rng, size, dim) for _ in range(20)])
+
+
+def test_a_cochain_alternating_in_three_of_four_slots_fails_spot_checks():
+    # (0 1) and the 3-cycle (0 1 2) permute only the first three slots
+    f = Cochain(arity=4, evaluator=lambda a, b, c, d: vol2(a, b, c) * (2.0 + d.direction[0]))
+    rng = np.random.default_rng(2605)
+    tuples = [sphere_tuple(rng, 4) for _ in range(200)]
+    a, b, c, d = tuples[0]
+    assert abs(f(a, b, d, c) + f(a, b, c, d)) > 1.0  # swapping slots 2 and 3 does not flip it
+    assert not alternation_spot_check(f, tuples)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from boundarykit import (MAX_VOL3, DegenerateTuple, MoebiusMap, ProjectivePoint,
-                         RealBoundaryPoint, apply_moebius, lobachevsky, vol2, vol3,
-                         vol3_from_cross_ratio, volume)
+from boundarykit import (MAX_VOL3, ComplexBoundaryPoint, DegenerateTuple, MixedModels,
+                         MoebiusMap, ProjectivePoint, RealBoundaryPoint, apply_moebius,
+                         lobachevsky, vol2, vol3, vol3_from_cross_ratio, volume)
 from boundarykit.sampling import chart_tuple_sampler, draw_tuples
 from boundarykit.volume import lobachevsky_batch, vol3_batch, vol3_from_cross_ratio_batch
 
@@ -385,3 +385,36 @@ def test_the_terms_past_32_sum_below_their_stated_bound():
         tail = mpmath.nsum(lambda n: mpmath.zeta(2 * n) / (n * (2 * n + 1)) * mpmath.mpf(4) ** -n,
                            [33, mpmath.inf]) * mpmath.pi / 2
     assert tail < 1.3e-23
+
+
+# ---------------------------------------------------------------------------
+# input refusals
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: vol3_from_cross_ratio(0.0), DegenerateTuple,
+                 "cross ratio degenerated to 0, 1 or infinity", id="vol3-at-0"),
+    pytest.param(lambda: vol3_from_cross_ratio(1.0 + 0j), DegenerateTuple,
+                 "cross ratio degenerated to 0, 1 or infinity", id="vol3-at-1"),
+    pytest.param(lambda: vol3_from_cross_ratio(complex(math.inf, 0.0)), DegenerateTuple,
+                 "cross ratio degenerated to 0, 1 or infinity", id="vol3-at-infinity"),
+    pytest.param(lambda: vol2(RealBoundaryPoint([1, 0, 0]), RealBoundaryPoint([0, 1, 0]),
+                              RealBoundaryPoint([0, 0, 1])),
+                 MixedModels, "vol2 expects points on the circle (dim 2)", id="vol2-on-S2"),
+    pytest.param(lambda: vol3(cp(0.0), cp(1.0), cp(2.0), 3.0 + 1j), TypeError,
+                 "vol3 expects boundary points, got complex", id="vol3-on-a-number"),
+    pytest.param(lambda: RealBoundaryPoint(1.0), ValueError,
+                 "direction must be a vector in R^n, n >= 2", id="real-scalar"),
+    pytest.param(lambda: RealBoundaryPoint([0.0, 0.0]), ValueError,
+                 "direction must be finite and nonzero", id="real-zero"),
+    pytest.param(lambda: RealBoundaryPoint([math.nan, 1.0]), ValueError,
+                 "direction must be finite and nonzero", id="real-nan"),
+    pytest.param(lambda: ComplexBoundaryPoint([1.0, 1.0]), ValueError,
+                 "lift must be a vector in C^{n+1}, n >= 2", id="complex-short"),
+    pytest.param(lambda: ComplexBoundaryPoint([1.0, 1.0, 0.5]), ValueError,
+                 "lift is not null for the form diag(1,...,1,-1)", id="complex-not-null"),
+])
+def test_a_bad_input_is_refused_with_its_message(call, error, message):
+    with pytest.raises(error) as refusal:
+        call()
+    assert type(refusal.value) is error and str(refusal.value) == message
